@@ -17,6 +17,7 @@ set), so the quadratic part conserves energy exactly on the finite window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ STATUS_BLOWUP = "blowup_detected"
 STATUS_UNDERFLOW = "step_underflow"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeConfig:
     """Scale ratio, dissipation exponent, shell window and coupling tensor."""
 
@@ -65,6 +66,11 @@ class CascadeConfig:
 
     def zero_state(self, t: float = 0.0) -> "CascadeState":
         return CascadeState(t, np.zeros((N_SPECIES, self.n_shells)))
+
+    @cached_property
+    def compiled_rhs(self) -> "CompiledRHS":
+        """Right-hand-side plan, built once per (immutable) config."""
+        return CompiledRHS(self)
 
 
 @dataclass
@@ -133,6 +139,9 @@ class CompiledRHS:
     For each tensor entry the admissible base shells form one contiguous
     run, so every contribution is a strided triple product; per entry the
     output shells are distinct, which makes plain slice accumulation safe.
+    The plan is also the one home of the dissipation rates
+    ``kappa * lam**(2*alpha*n)`` and of the blowup guard's energy-weighted
+    norm ``sum lam**(2n) X**2``.
     """
 
     def __init__(self, config: CascadeConfig):
@@ -166,15 +175,6 @@ class CompiledRHS:
         return float(np.sum(self.guard_weights * X ** 2))
 
 
-def compiled_rhs(config: CascadeConfig) -> CompiledRHS:
-    """Cached compiled plan; configs are treated as immutable after this."""
-    plan = getattr(config, "_rhs_plan", None)
-    if plan is None:
-        plan = CompiledRHS(config)
-        config._rhs_plan = plan
-    return plan
-
-
 def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
     """Quadratic part of the shell derivative with group-safe truncation.
 
@@ -184,17 +184,12 @@ def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
     dropped together and the cubic flux of the result is exactly zero
     for valid tensors.
     """
-    return compiled_rhs(config).quadratic(state.X)
-
-
-def dissipation_rates(config: CascadeConfig) -> np.ndarray:
-    """Diagonal decay rates ``kappa * lam**(2*alpha*n)`` over the window."""
-    return config.kappa * config.lam ** (2.0 * config.alpha * config.shells)
+    return config.compiled_rhs.quadratic(state.X)
 
 
 def cascade_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
     """Full shell derivative: quadratic interaction plus diagonal decay."""
-    return compiled_rhs(config)(state.X)
+    return config.compiled_rhs(state.X)
 
 
 def nonlinear_energy_flux(state: CascadeState, config: CascadeConfig) -> float:
@@ -219,11 +214,6 @@ def shell_energy(state: CascadeState, i: int, n: int, config: CascadeConfig) -> 
     return 0.5 * float(state.X[i - 1, n - config.n_min] ** 2)
 
 
-def weighted_norm(X: np.ndarray, config: CascadeConfig) -> float:
-    """Energy-weighted norm ``sum lam**(2n) X**2`` used by the blowup guard."""
-    return float(np.sum(config.lam ** (2.0 * config.shells) * X ** 2))
-
-
 def energy_balance_residual(trajectory: CascadeTrajectory,
                             config: CascadeConfig) -> np.ndarray:
     """Pointwise defect of the energy dissipation balance at interior samples.
@@ -238,7 +228,7 @@ def energy_balance_residual(trajectory: CascadeTrajectory,
     times = trajectory.times
     states = trajectory.state_array()
     energy = 0.5 * np.sum(states ** 2, axis=(1, 2))
-    rates = dissipation_rates(config)
+    rates = config.compiled_rhs.rates
     out = np.empty(len(times) - 2)
     for k in range(1, len(times) - 1):
         hl = times[k] - times[k - 1]

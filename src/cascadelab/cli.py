@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -55,7 +54,10 @@ def main(argv=None) -> int:
             print(json.dumps(result, sort_keys=True))
             return 0
         if args.subcommand == "synthesize":
-            times = [float(v) for v in args.times.split(",") if v.strip()]
+            try:
+                times = [float(v) for v in args.times.split(",") if v.strip()]
+            except ValueError as exc:
+                raise InputError(f"--times: {exc}") from exc
             result = pipeline.run_synthesize(
                 args.trajectory, args.basis_config, times, args.out_dir)
             print(json.dumps({k: result[k] for k in
@@ -63,8 +65,7 @@ def main(argv=None) -> int:
                              sort_keys=True))
             return 0
         if args.subcommand == "analyze":
-            result = pipeline.run_analyze(
-                args.snapshots, args.params, args.out, workers=args.workers)
+            result = pipeline.run_analyze(args.snapshots, args.params, args.out)
             print(json.dumps({"manifest_digest": result["manifest_digest"],
                               "d_est": result["report"]["d_est"]},
                              sort_keys=True))

@@ -13,6 +13,7 @@ memberships, and dilations wrap around the box.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ import numpy as np
 from .spectral import smoothstep
 
 MIN_SIDE_CELLS = 4
+
+#: the whole box is one cube at level 0, the coarsest resolvable level
+COARSEST_LEVEL = 0
+
+#: enlargement under which a Vitali selection covers its input
+VITALI_DILATION = 5.0
 
 
 class LevelResolutionError(ValueError):
@@ -54,10 +61,6 @@ def level_geometry(j: int, epsilon: float, n_grid: int) -> tuple[int, float]:
     return snapped, exact
 
 
-def coarsest_level(epsilon: float) -> int:
-    return 0
-
-
 def finest_level(epsilon: float, n_grid: int) -> int:
     j = 0
     while True:
@@ -81,10 +84,15 @@ def cube_side_cells(cube: CubeId, n_grid: int) -> int:
     return side
 
 
-def cube_interval(cube: CubeId, n_grid: int, axis: int) -> tuple[float, float]:
-    """(start, length) of the cube extent along one axis, in cells."""
+def _enlarged_extent(cube: CubeId, n_grid: int,
+                     grow: float) -> list[tuple[float, float]]:
+    """Per-axis (start, stop) in cells of Q grown by ``grow * side`` per face.
+
+    ``grow = (D - 1) / 2`` gives the D-fold dilation ``D Q``.
+    """
     side = cube_side_cells(cube, n_grid)
-    return float(cube.corner[axis] * side), float(side)
+    margin = grow * side
+    return [(c * side - margin, (c + 1) * side + margin) for c in cube.corner]
 
 
 def _intervals_intersect(a_start, a_len, b_start, b_len, n):
@@ -93,28 +101,40 @@ def _intervals_intersect(a_start, a_len, b_start, b_len, n):
     return ((b_start - a_start) % n) < a_len or ((a_start - b_start) % n) < b_len
 
 
+def _dilated_intersect(a: CubeId, b: CubeId, n_grid: int, factor: float) -> bool:
+    grow = 0.5 * (factor - 1.0)
+    return all(_intervals_intersect(sa, ea - sa, sb, eb - sb, n_grid)
+               for (sa, ea), (sb, eb) in zip(_enlarged_extent(a, n_grid, grow),
+                                             _enlarged_extent(b, n_grid, grow)))
+
+
 def cubes_intersect(a: CubeId, b: CubeId, n_grid: int) -> bool:
-    for axis in range(3):
-        sa, la = cube_interval(a, n_grid, axis)
-        sb, lb = cube_interval(b, n_grid, axis)
-        if not _intervals_intersect(sa, la, sb, lb, n_grid):
-            return False
-    return True
+    return _dilated_intersect(a, b, n_grid, 1.0)
 
 
 def dilated_contains(cube: CubeId, points: np.ndarray, n_grid: int,
                      dilation: float = 1.0) -> np.ndarray:
     """Membership of points (cell coordinates, shape (m, 3)) in ``dilation * Q``."""
-    side = cube_side_cells(cube, n_grid)
-    length = dilation * side
     points = np.atleast_2d(points)
     inside = np.ones(len(points), dtype=bool)
-    for axis in range(3):
-        if length >= n_grid:
-            continue
-        start = cube.corner[axis] * side - 0.5 * (dilation - 1.0) * side
-        inside &= ((points[:, axis] - start) % n_grid) < length
+    extent = _enlarged_extent(cube, n_grid, 0.5 * (dilation - 1.0))
+    for axis, (start, stop) in enumerate(extent):
+        if stop - start < n_grid:
+            inside &= ((points[:, axis] - start) % n_grid) < stop - start
     return inside
+
+
+def _lattice_cover(cube: CubeId, grow: float, level: int,
+                   n_grid: int) -> list[tuple[int, int, int]]:
+    """Corners of the level cubes meeting Q grown by ``grow * side`` per face."""
+    level_side, _ = level_geometry(level, cube.epsilon, n_grid)
+    m = n_grid // level_side
+    ranges = [range(m) if stop - start >= n_grid
+              else range(math.floor(start / level_side),
+                         math.ceil(stop / level_side))
+              for start, stop in _enlarged_extent(cube, n_grid, grow)]
+    return [(px % m, py % m, pz % m)
+            for px, py, pz in itertools.product(*ranges)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +205,9 @@ def bump_function(cube: CubeId, n_grid: int, type_j: int | None = None,
 
 def _band_cover(cube: CubeId, level: int, n_grid: int) -> list[CubeId]:
     """Cubes at ``level`` meeting the enlarged cube (1 + 2**(-eps j)) Q."""
-    side = cube_side_cells(cube, n_grid)
-    margin = 0.5 * side * 2.0 ** (-cube.epsilon * cube.j)
-    band_side, _ = level_geometry(level, cube.epsilon, n_grid)
-    m = n_grid // band_side
-    ranges = []
-    for axis in range(3):
-        start = cube.corner[axis] * side - margin
-        stop = (cube.corner[axis] + 1) * side + margin
-        if stop - start >= n_grid:
-            ranges.append(range(m))
-            continue
-        p_lo = int(np.floor(start / band_side))
-        p_hi = int(np.ceil(stop / band_side))  # exclusive
-        ranges.append(range(p_lo, p_hi))
-    out = []
-    for px, py, pz in itertools.product(*ranges):
-        out.append(CubeId(level, (px % m, py % m, pz % m), cube.epsilon))
-    return out
+    grow = 0.5 * 2.0 ** (-cube.epsilon * cube.j)
+    return [CubeId(level, corner, cube.epsilon)
+            for corner in _lattice_cover(cube, grow, level, n_grid)]
 
 
 def nuclear_family(cube: CubeId, depth: int, n_grid: int,
@@ -220,7 +225,7 @@ def nuclear_family(cube: CubeId, depth: int, n_grid: int,
     current = {cube}
     if depth == 0:
         return current
-    lo = coarsest_level(cube.epsilon)
+    lo = COARSEST_LEVEL
     hi = finest_level(cube.epsilon, n_grid)
     for _ in range(depth):
         nxt: set[CubeId] = set()
@@ -242,31 +247,20 @@ def nuclear_family(cube: CubeId, depth: int, n_grid: int,
 # Vitali selection
 
 
-def _dilated_intersect(a: CubeId, b: CubeId, n_grid: int, factor: float) -> bool:
-    for axis in range(3):
-        sa, la = cube_interval(a, n_grid, axis)
-        sb, lb = cube_interval(b, n_grid, axis)
-        sa, la = sa - 0.5 * (factor - 1.0) * la, factor * la
-        sb, lb = sb - 0.5 * (factor - 1.0) * lb, factor * lb
-        if not _intervals_intersect(sa, la, sb, lb, n_grid):
-            return False
-    return True
-
-
-def vitali_cover(cubes, n_grid: int, dilation: float = 5.0,
+def vitali_cover(cubes, n_grid: int,
                  pre_dilation: float = 1.0) -> list[CubeId]:
-    """Greedy disjoint subfamily whose ``dilation``-enlargements cover the input.
+    """Greedy disjoint subfamily whose 5-fold enlargements cover the input.
 
     Cubes are visited in decreasing size, ties broken by level then
     lexicographic corner, and kept when disjoint from everything already
     kept.  For a common-level input the classical argument gives coverage
-    with ``dilation = 5``: any rejected cube meets a kept cube of at least
-    its size, hence lies inside the kept cube's 5-fold enlargement.
+    with ``VITALI_DILATION = 5``: any rejected cube meets a kept cube of at
+    least its size, hence lies inside the kept cube's 5-fold enlargement.
 
     With ``pre_dilation = D > 1`` disjointness is required of the D-fold
     enlargements instead, so kept cubes are spread at least D sides apart
     (their neighborhoods, e.g. nuclear families, stop overlapping) and the
-    coverage guarantee transfers to the ``dilation * D`` enlargements.
+    coverage guarantee transfers to the ``5 D`` enlargements.
     """
     def sort_key(c: CubeId):
         return (-cube_side_cells(c, n_grid), c.j, c.corner)
@@ -277,3 +271,12 @@ def vitali_cover(cubes, n_grid: int, dilation: float = 5.0,
                for kept in selected):
             selected.append(cube)
     return selected
+
+
+def covering_count(selected: list[CubeId], j: int, n_grid: int,
+                   dilation: float) -> int:
+    """Number of level-j cubes meeting the dilated selected cubes' union."""
+    covered: set[tuple[int, int, int]] = set()
+    for cube in selected:
+        covered.update(_lattice_cover(cube, 0.5 * (dilation - 1.0), j, n_grid))
+    return len(covered)

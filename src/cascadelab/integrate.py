@@ -27,11 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
-                      STATUS_BLOWUP, STATUS_COMPLETED, STATUS_UNDERFLOW,
-                      compiled_rhs)
+                      STATUS_BLOWUP, STATUS_COMPLETED, STATUS_UNDERFLOW)
 
 # Dormand-Prince 5(4) tableau (row-padded stage matrix)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.zeros((7, 7))
 _A[1, :1] = [1 / 5]
 _A[2, :2] = [3 / 40, 9 / 40]
@@ -46,9 +44,30 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _ORDER = 5  # of the propagated solution
 
 
+#: step controls: name -> (accepted types, range test, range rule)
+CONTROLS = {
+    "rel_tol": ((int, float), lambda v: 1e-14 < v < 1e-2, "lie in (1e-14, 1e-2)"),
+    "h_min": ((int, float), lambda v: v > 0, "be positive"),
+    "guard_factor": ((int, float), lambda v: v > 0, "be positive"),
+    "max_steps": (int, lambda v: v >= 1, "be at least 1"),
+}
+
+
+def check_controls(**controls):
+    """Raise ValueError for any given step control outside its range."""
+    for name, value in controls.items():
+        _, valid, rule = CONTROLS[name]
+        if not valid(value):
+            raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def _stop_status(plan, X: np.ndarray, guard: float) -> str:
+    """Outcome of a stop before ``t_end``: blowup when the guard is crossed."""
+    return STATUS_BLOWUP if plan.weighted_norm(X) > guard else STATUS_UNDERFLOW
+
+
 def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
-              rel_tol: float = 1e-8, *, abs_tol: float | None = None,
-              h_init: float | None = None, h_min: float = 1e-13,
+              rel_tol: float = 1e-8, *, h_min: float = 1e-13,
               guard_factor: float = 1e12, max_steps: int = 5_000_000
               ) -> CascadeTrajectory:
     """Integrate the cascade ODE from ``initial`` toward ``t_end``.
@@ -56,10 +75,9 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
     Parameters
     ----------
     rel_tol : float
-        Per-step relative error target; must lie in (1e-14, 1e-2).
-    abs_tol : float, optional
-        Absolute error floor.  Defaults to ``rel_tol * 1e-3`` times the
-        initial amplitude scale.
+        Per-step relative error target; must lie in (1e-14, 1e-2).  The
+        absolute error floor is ``rel_tol * 1e-3`` times the initial
+        amplitude scale.
     h_min : float
         Step size below which integration stops and the outcome is
         classified as blowup or underflow.
@@ -67,8 +85,8 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
         Blowup guard on the energy-weighted norm, relative to its initial
         value.
     """
-    if not 1e-14 < rel_tol < 1e-2:
-        raise ValueError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol}")
+    check_controls(rel_tol=rel_tol, h_min=h_min, guard_factor=guard_factor,
+                   max_steps=max_steps)
     if not initial.finite:
         raise ValueError("initial state contains non-finite entries")
     if t_end <= initial.t:
@@ -76,12 +94,12 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
     if initial.X.shape != (4, config.n_shells):
         raise ValueError("initial state shape does not match the config window")
 
-    plan = compiled_rhs(config)
+    plan = config.compiled_rhs
     shape = initial.X.shape
     y = initial.X.astype(float).ravel().copy()
     t = float(initial.t)
     scale0 = max(float(np.max(np.abs(y))), 1e-30)
-    atol = rel_tol * 1e-3 * scale0 if abs_tol is None else float(abs_tol)
+    atol = rel_tol * 1e-3 * scale0
     guard = guard_factor * max(plan.weighted_norm(y.reshape(shape)), 1e-30)
 
     def rhs_flat(ycur):
@@ -89,15 +107,12 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
 
     k = np.empty((7, y.size))
     k[0] = rhs_flat(y)
-    if h_init is None:
-        # standard magnitude-based starting guess, clipped to the span
-        sc = atol + rel_tol * np.abs(y)
-        d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
-        d1 = float(np.sqrt(np.mean((k[0] / sc) ** 2)))
-        h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
-        h = min(max(h, 1e-12), t_end - t)
-    else:
-        h = min(float(h_init), t_end - t)
+    # standard magnitude-based starting guess, clipped to the span
+    sc = atol + rel_tol * np.abs(y)
+    d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((k[0] / sc) ** 2)))
+    h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
+    h = min(max(h, 1e-12), t_end - t)
 
     samples = [CascadeState(t, y.reshape(shape).copy())]
     err_prev = 1.0
@@ -106,9 +121,7 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
 
     while t < t_end:
         if steps >= max_steps:
-            status = (STATUS_BLOWUP
-                      if plan.weighted_norm(y.reshape(shape)) > guard
-                      else STATUS_UNDERFLOW)
+            status = _stop_status(plan, y.reshape(shape), guard)
             break
         steps += 1
         h = min(h, t_end - t)
@@ -141,9 +154,7 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
             h *= min(1.0, max(0.1, shrink))
 
         if h < h_min and t < t_end:
-            status = (STATUS_BLOWUP
-                      if plan.weighted_norm(y.reshape(shape)) > guard
-                      else STATUS_UNDERFLOW)
+            status = _stop_status(plan, y.reshape(shape), guard)
             break
 
     est = samples[-1].t if status == STATUS_BLOWUP else None
@@ -160,17 +171,16 @@ def rk4_fixed_step(config: CascadeConfig, initial: CascadeState, dt: float,
     step where the energy-weighted norm reaches it and that time is
     returned as the detection time (``None`` if never reached).
     """
-    plan = compiled_rhs(config)
-    f = plan
+    plan = config.compiled_rhs
     y = initial.X.astype(float).copy()
     t = float(initial.t)
     half = 0.5 * dt
     sixth = dt / 6.0
     while t < t_max:
-        s1 = f(y)
-        s2 = f(y + half * s1)
-        s3 = f(y + half * s2)
-        s4 = f(y + dt * s3)
+        s1 = plan(y)
+        s2 = plan(y + half * s1)
+        s3 = plan(y + half * s2)
+        s4 = plan(y + dt * s3)
         y = y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
         t += dt
         if stop_norm is not None:

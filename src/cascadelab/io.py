@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeConfig, CascadeTrajectory, N_SPECIES
+from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
+                      N_SPECIES, state_from_entries)
 from .grid import GridField
+from .integrate import CONTROLS, check_controls
 from .tensor import CoefficientTensor
 
 SCHEMA_CONFIG = "cascade-config/1"
@@ -60,9 +64,12 @@ def load_json(path, expected_schema: str) -> dict:
 
 
 def dump_json(doc: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a document atomically: a crash leaves the old file or the new one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +91,38 @@ def config_to_dict(config: CascadeConfig, integrator: dict | None = None) -> dic
     return doc
 
 
+#: initial state of an integrator block without ``initial``
+DEFAULT_INITIAL = {"X_1_0": 1.0}
+
+_INITIAL_KEY = re.compile(r"X_(\d+)_(-?\d+)")
+
+
+def _typed(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def initial_state(config: CascadeConfig, entries) -> CascadeState:
+    """State from an integrator block's ``{"X_<i>_<n>": value}`` entries."""
+    if not isinstance(entries, dict):
+        raise InputError("integrator.initial must be an object")
+    parsed = {}
+    for key, value in entries.items():
+        match = _INITIAL_KEY.fullmatch(key)
+        if match is None or not _typed(value):
+            raise InputError(f"initial entry {key!r}: {value!r} is not "
+                             "of the form \"X_<i>_<n>\": number")
+        parsed[int(match[1]), int(match[2])] = value
+    try:
+        state = state_from_entries(config, parsed)
+    except ValueError as exc:
+        raise DomainError(f"initial entry: {exc}") from exc
+    if not state.finite:
+        raise DomainError("initial entries must be finite")
+    return state
+
+
 def parse_config(doc: dict) -> tuple[CascadeConfig, dict]:
-    """Build a config from a parsed document; constraint issues are DomainError."""
+    """Config and checked integrator block; constraint issues are DomainError."""
     try:
         tensor = CoefficientTensor.from_rows(doc.get("tensor", []))
         config = CascadeConfig(
@@ -100,7 +137,20 @@ def parse_config(doc: dict) -> tuple[CascadeConfig, dict]:
     integrator = doc.get("integrator", {})
     if not isinstance(integrator, dict):
         raise InputError("integrator block must be an object")
-    return config, integrator
+    controls = {k: v for k, v in integrator.items() if k != "initial"}
+    for key, value in controls.items():
+        if key not in CONTROLS:
+            raise InputError(f"unknown integrator key {key!r}; accepted: "
+                             f"{', '.join(CONTROLS)}, initial")
+        if not _typed(value, CONTROLS[key][0]):
+            raise InputError(f"integrator.{key} has the wrong type: {value!r}")
+    try:
+        check_controls(**controls)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
+    if "initial" in integrator:
+        initial_state(config, integrator["initial"])
+    return config, dict(integrator)
 
 
 def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
@@ -160,7 +210,9 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 def save_snapshot(fld: GridField, path_base, basis_id: str = "",
-                  extra: dict | None = None) -> tuple[str, str]:
+                  extra: dict | None = None, *,
+                  write_sidecar: bool = True) -> tuple[str, dict]:
+    """Write the raw samples (and the sidecar, unless deferred); return both."""
     raw_path = str(path_base) + ".raw"
     fld.data.astype("<f8").tofile(raw_path)
     doc = {
@@ -172,9 +224,9 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
         "basis_id": basis_id,
     }
     doc.update(extra or {})
-    json_path = str(path_base) + ".json"
-    dump_json(doc, json_path)
-    return raw_path, json_path
+    if write_sidecar:
+        dump_json(doc, str(path_base) + ".json")
+    return raw_path, doc
 
 
 def load_snapshot(path_base) -> GridField:

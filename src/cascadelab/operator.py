@@ -35,14 +35,27 @@ def _pairings(u: GridField, v: GridField, basis: WaveletBasis):
     return Xu, Xv
 
 
-def _term_iter(tensor: CoefficientTensor, basis: WaveletBasis):
-    """Yield (entry, base shell) pairs whose full shell triple is in-window."""
+def _term_iter(tensor: CoefficientTensor, basis: WaveletBasis,
+               Xu: np.ndarray, Xv: np.ndarray):
+    """Yield ``(key, b, c)`` for every in-window term with nonzero coefficient.
+
+    A term is one (entry, base shell b) pair whose full shell triple lies in
+    the window; ``c = a lam**(5b/2) <u, psi_{i1,b+mu1}> <v, psi_{i2,b+mu2}>``.
+    """
     lo, hi = basis.n_window
     for key, a in tensor.entries.items():
         i1, i2, i3, m1, m2, m3 = key
-        top = hi - max(m1, m2, m3)
-        for b in range(lo, top + 1):
-            yield (i1, i2, i3, m1, m2, m3), a, b
+        for b in range(lo, hi - max(m1, m2, m3) + 1):
+            c = (a * basis.lam ** (2.5 * b)
+                 * Xu[i1 - 1, b + m1 - lo] * Xv[i2 - 1, b + m2 - lo])
+            if c != 0.0:
+                yield key, b, c
+
+
+def _add_term(spectrum: np.ndarray, basis: WaveletBasis, key, b: int, c: float):
+    """Accumulate ``c psi_{i3, b+mu3}`` into a flat spectrum."""
+    sh = basis.shells[(key[2], b + key[5])]
+    spectrum[:, sh.flat_idx] += c * sh.amp
 
 
 def apply_cascade_operator(u: GridField, v: GridField,
@@ -50,21 +63,12 @@ def apply_cascade_operator(u: GridField, v: GridField,
                            basis: WaveletBasis) -> GridField:
     """Field ``C(u, v)``; symmetric in (u, v) for symmetric tensors."""
     Xu, Xv = _pairings(u, v, basis)
-    lo, _ = basis.n_window
     out = basis.empty_spectrum()
-    dropped = 0
-    for key, a in tensor.entries.items():
-        i1, i2, i3, m1, m2, m3 = key
-        top = basis.n_window[1] - max(m1, m2, m3)
-        dropped += max(0, basis.n_window[1] - top)
-        for b in range(lo, top + 1):
-            c = (a * basis.lam ** (2.5 * b)
-                 * Xu[i1 - 1, b + m1 - lo] * Xv[i2 - 1, b + m2 - lo])
-            if c != 0.0:
-                sh = basis.shells[(i3, b + m3)]
-                out[:, sh.flat_idx] += c * sh.amp
+    for key, b, c in _term_iter(tensor, basis, Xu, Xv):
+        _add_term(out, basis, key, b, c)
     result = basis.materialize(out, time_tag=u.time_tag)
-    result.meta["truncated_groups"] = dropped
+    # each entry with a shifted slot loses its top base shell to truncation
+    result.meta["truncated_groups"] = sum(max(key[3:]) for key in tensor.entries)
     return result
 
 
@@ -92,15 +96,10 @@ def paraproduct_split(u: GridField, tensor: CoefficientTensor,
         partition = LPPartition.for_grid(u.n_grid, u.box_size)
     partition.check(j)
     Xu, _ = _pairings(u, u, basis)
-    lo = basis.n_window[0]
     spectra = {name: basis.empty_spectrum() for name in ("lh", "hl", "hh", "loc")}
-    for (i1, i2, i3, m1, m2, m3), a, b in _term_iter(tensor, basis):
-        c = (a * basis.lam ** (2.5 * b)
-             * Xu[i1 - 1, b + m1 - lo] * Xu[i2 - 1, b + m2 - lo])
-        if c == 0.0:
-            continue
-        b1 = basis.shell_band(b + m1)
-        b2 = basis.shell_band(b + m2)
+    for key, b, c in _term_iter(tensor, basis, Xu, Xu):
+        b1 = basis.shell_band(b + key[3])
+        b2 = basis.shell_band(b + key[4])
         if min(b1, b2) > j + width:
             name = "hh"
         elif b1 < j - width and b1 <= b2:
@@ -109,8 +108,7 @@ def paraproduct_split(u: GridField, tensor: CoefficientTensor,
             name = "hl"
         else:
             name = "loc"
-        sh = basis.shells[(i3, b + m3)]
-        spectra[name][:, sh.flat_idx] += c * sh.amp
+        _add_term(spectra[name], basis, key, b, c)
     parts = tuple(
         lp_project(basis.materialize(spectra[name], time_tag=u.time_tag),
                    j, partition)

@@ -53,15 +53,8 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
     if t_end <= 0:
         raise iomod.DomainError(f"t_end must be positive, got {t_end}")
 
-    initial_entries = integrator.pop("initial", {"X_1_0": 1.0})
-    initial = config.zero_state()
-    for key, value in initial_entries.items():
-        _, i_str, n_str = key.split("_")
-        i, n = int(i_str), int(n_str)
-        if not (1 <= i <= 4 and config.n_min <= n <= config.n_max):
-            raise iomod.DomainError(f"initial entry {key} outside the window")
-        initial.X[i - 1, n - config.n_min] = float(value)
-
+    initial_entries = integrator.pop("initial", iomod.DEFAULT_INITIAL)
+    initial = iomod.initial_state(config, initial_entries)
     trajectory = integrate(config, initial, t_end, **integrator)
 
     out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
@@ -121,7 +114,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         {"times": list(times), "basis_id": basis.basis_id},
         [str(trajectory_path), str(basis_config_path)], [], 0.0)
 
-    written = []
+    written = []  # (path base, sidecar document) per snapshot
     max_roundtrip = 0.0
     for idx, t in enumerate(times):
         if not t_samples[0] <= t <= t_samples[-1]:
@@ -139,20 +132,26 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         err = float(np.max(np.abs(recovered[:, window_slice] - coeffs)))
         max_roundtrip = max(max_roundtrip, err)
         base = os.path.join(out_dir, f"snapshot_{idx:04d}")
-        iomod.save_snapshot(fld, base, basis_id=basis.basis_id, extra={
-            "manifest_digest": "", "roundtrip_error": err,
-            "n_min": n_min, "n_max": n_max})
-        written.append(base)
+        _, sidecar = iomod.save_snapshot(
+            fld, base, basis_id=basis.basis_id, write_sidecar=False,
+            extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
+        written.append((base, sidecar))
 
-    manifest.outputs = [w + ".raw" for w in written]
+    manifest.outputs = [base + ".raw" for base, _ in written]
     manifest.parameters["max_roundtrip_error"] = max_roundtrip
     manifest_digest = _finish_manifest(manifest, out_dir, clock)
-    for base in written:  # stamp sidecars with the final digest
-        doc = iomod.load_json(base + ".json", iomod.SCHEMA_SNAPSHOT)
-        doc["manifest_digest"] = manifest_digest
-        iomod.dump_json(doc, base + ".json")
-    return {"written": written, "max_roundtrip_error": max_roundtrip,
+    for base, sidecar in written:  # written once, with the final digest
+        sidecar["manifest_digest"] = manifest_digest
+        iomod.dump_json(sidecar, base + ".json")
+    return {"written": [base for base, _ in written],
+            "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
+
+
+#: optional RegularityParams fields a params document may carry
+_OPTIONAL_PARAMS = {"nuclear_depth": int, "window_exponent": int,
+                    "exponent_offset": float, "window_base": float,
+                    "vitali_pre_dilation": float}
 
 
 def load_regularity_params(path) -> tuple[RegularityParams, dict]:
@@ -161,10 +160,8 @@ def load_regularity_params(path) -> tuple[RegularityParams, dict]:
         params = RegularityParams(
             alpha=float(doc["alpha"]), epsilon=float(doc["epsilon"]),
             gamma=float(doc["gamma"]), K_threshold=float(doc["K_threshold"]),
-            nuclear_depth=int(doc.get("nuclear_depth", 2)),
-            window_exponent=int(doc.get("window_exponent", 10)),
-            exponent_offset=doc.get("exponent_offset"),
-            window_base=float(doc.get("window_base", 2.0)))
+            **{name: kind(doc[name]) for name, kind in _OPTIONAL_PARAMS.items()
+               if doc.get(name) is not None})
     except KeyError as exc:
         raise iomod.InputError(f"params document missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -172,15 +169,9 @@ def load_regularity_params(path) -> tuple[RegularityParams, dict]:
     return params, doc
 
 
-def run_analyze(snapshot_dir, params_path, out_path, workers: int = 1) -> dict:
-    """Classify cubes across levels and write the covering report.
-
-    ``workers`` is validated and recorded; the classification itself runs
-    in-process (it is already a deterministic fold over cubes).
-    """
+def run_analyze(snapshot_dir, params_path, out_path) -> dict:
+    """Classify cubes across levels and write the covering report."""
     clock = iomod.ManifestClock()
-    if workers < 1:
-        raise iomod.DomainError(f"workers must be >= 1, got {workers}")
     params, doc = load_regularity_params(params_path)
     levels = [int(j) for j in doc.get("levels", [2, 3, 4, 5])]
 
@@ -200,7 +191,7 @@ def run_analyze(snapshot_dir, params_path, out_path, workers: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
         "analyze", iomod.canonical_digest(doc),
-        {"levels": levels, "workers": workers},
+        {"levels": levels},
         [str(params_path)] + [b + ".raw" for b in bases], [str(out_path)], 0.0)
     manifest_digest = _finish_manifest(manifest, out_dir, clock)
 

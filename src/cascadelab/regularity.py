@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import (BumpProfile, CubeId, cube_hierarchy, cube_side_cells,
+from .cubes import (VITALI_DILATION, BumpProfile, CubeId,
+                    LevelResolutionError, covering_count, cube_hierarchy,
                     level_geometry, nuclear_family, vitali_cover)
 from .grid import GridField, apply_symbol, wave_magnitude
-from .spectral import LPPartition
+from .spectral import LPPartition, fractional_symbol
 
 VERDICT_BAD = "mildly_bad"
 VERDICT_REGULAR = "regular"
@@ -117,7 +118,6 @@ class RegularityParams:
 @dataclass
 class CubeRecord:
     cube: CubeId
-    u_Q_history: list[tuple[float, float]]
     badness_lhs: float
     threshold: float
 
@@ -201,10 +201,6 @@ class CoefficientCache:
             out[px, py, pz] = np.sqrt(val * dV)
         self._tables[key] = out
         return out
-
-    def coefficient(self, s: int, cube: CubeId, band: int | None = None) -> float:
-        band = cube.j if band is None else band
-        return float(self.table(s, cube.j, band)[cube.corner])
 
     def family_sq_series(self, cube: CubeId, depth: int) -> np.ndarray:
         """Time series of the nuclear-family energy ``sum u_{Q'}^2``.
@@ -322,9 +318,7 @@ def classify_level_records(snapshots: list[GridField], j: int,
     records = []
     for cube in cube_hierarchy(j, params.epsilon, cache.n_grid):
         lhs, thr = badness_functional(snapshots, cube, params, cache)
-        history = [(float(cache.times[s]), cache.coefficient(s, cube))
-                   for s in range(len(cache.snapshots))]
-        records.append(CubeRecord(cube, history, lhs, thr))
+        records.append(CubeRecord(cube, lhs, thr))
     return records
 
 
@@ -338,31 +332,6 @@ def classify_level(snapshots: list[GridField], j: int,
 
 # ---------------------------------------------------------------------------
 # covering counts and the dimension estimate
-
-
-def covering_count(selected: list[CubeId], j: int, epsilon: float,
-                   n_grid: int, dilation: float = 5.0) -> int:
-    """Number of level-j cubes meeting the dilated selected cubes' union."""
-    if not selected:
-        return 0
-    side, _ = level_geometry(j, epsilon, n_grid)
-    m = n_grid // side
-    covered: set[tuple[int, int, int]] = set()
-    for cube in selected:
-        s = cube_side_cells(cube, n_grid)
-        ranges = []
-        for axis in range(3):
-            start = cube.corner[axis] * s - 0.5 * (dilation - 1.0) * s
-            stop = start + dilation * s
-            if stop - start >= n_grid:
-                ranges.append(range(m))
-                continue
-            p_lo = int(np.floor(start / side))
-            p_hi = int(np.ceil(stop / side))
-            ranges.append(range(p_lo, p_hi))
-        for px, py, pz in itertools.product(*ranges):
-            covered.add((px % m, py % m, pz % m))
-    return len(covered)
 
 
 def dimension_estimate(level_counts: dict[int, float]) -> tuple[float, float]:
@@ -424,8 +393,8 @@ class CoveringReport:
 
 
 def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
-                      levels, dilation: float = 5.0,
-                      cache: CoefficientCache | None = None) -> CoveringReport:
+                      levels, cache: CoefficientCache | None = None
+                      ) -> CoveringReport:
     """Classification, Vitali selection, and covering counts per level.
 
     The dimension estimate is fitted on the Vitali-selected counts: with a
@@ -445,14 +414,13 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
     for j in sorted(levels):
         try:
             records = classify_level_records(snapshots, j, params, cache)
-        except Exception as exc:  # unresolved level: report, do not abort
+        except LevelResolutionError as exc:  # report, do not abort
             notes.append(f"level {j} skipped: {exc}")
             continue
         bad = [r.cube for r in records if r.verdict == VERDICT_BAD]
-        selected = vitali_cover(bad, cache.n_grid, dilation,
-                                params.vitali_pre_dilation)
-        n_cover = covering_count(selected, j, params.epsilon, cache.n_grid,
-                                 dilation * params.vitali_pre_dilation)
+        selected = vitali_cover(bad, cache.n_grid, params.vitali_pre_dilation)
+        n_cover = covering_count(selected, j, cache.n_grid,
+                                 VITALI_DILATION * params.vitali_pre_dilation)
         rows.append(LevelSummary(j, len(records), len(bad), len(selected), n_cover))
         counts[j] = len(selected)
     if cache.unresolved_bands:
@@ -486,11 +454,7 @@ def local_dissipation_check(fld: GridField, cube: CubeId, j: int, alpha: float,
     proj = band_project(fld, j, partition)
     localized = GridField(phi ** 2 * proj.data, fld.box_size)
     inner_field = band_project(localized, j, partition)
-    radii = mode_radii(fld.n_grid)
-    weight = np.zeros_like(radii)
-    nz = radii > 0
-    weight[nz] = radii[nz] ** (2.0 * alpha)
-    frac = apply_symbol(fld, weight)
+    frac = apply_symbol(fld, fractional_symbol(mode_radii(fld.n_grid), alpha))
     pairing = float(np.sum(frac.data * inner_field.data) * fld.cell_volume)
 
     u_q = float(np.sqrt(np.sum(phi ** 2 * np.sum(proj.data ** 2, axis=0))

@@ -106,15 +106,20 @@ def lp_project(fld: GridField, j: int, partition: LPPartition | None = None,
     return apply_symbol(fld, sym)
 
 
+def fractional_symbol(radii: np.ndarray, alpha: float) -> np.ndarray:
+    """Weight ``|xi|**(2 alpha)`` on an array of radii; the zero mode maps to zero."""
+    weight = np.zeros_like(radii)
+    nz = radii > 0
+    weight[nz] = radii[nz] ** (2.0 * alpha)
+    return weight
+
+
 def fractional_laplacian(fld: GridField, alpha: float) -> GridField:
     """Spectral multiplier |xi|**(2 alpha); the zero mode maps to zero."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     radii = wave_magnitude(fld.n_grid, fld.box_size)
-    sym = np.zeros_like(radii)
-    nz = radii > 0
-    sym[nz] = radii[nz] ** (2.0 * alpha)
-    return apply_symbol(fld, sym)
+    return apply_symbol(fld, fractional_symbol(radii, alpha))
 
 
 def leray_project(fld: GridField) -> GridField:
@@ -140,10 +145,7 @@ def leray_project(fld: GridField) -> GridField:
 
 def fractional_energy(fld: GridField, alpha: float) -> float:
     """Homogeneous energy ``sum |xi|**(2 alpha) |u_hat|**2`` (Parseval form)."""
-    radii = wave_magnitude(fld.n_grid, fld.box_size)
-    weight = np.zeros_like(radii)
-    nz = radii > 0
-    weight[nz] = radii[nz] ** (2.0 * alpha)
+    weight = fractional_symbol(wave_magnitude(fld.n_grid, fld.box_size), alpha)
     hat = fft_field(fld)
     total = float(np.sum(weight * np.sum(np.abs(hat) ** 2, axis=0)))
     return total * fld.box_size ** 3 / fld.n_grid ** 6

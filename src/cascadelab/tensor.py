@@ -97,13 +97,6 @@ class CoefficientTensor:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def max_offset(self) -> int:
-        """Largest shell offset referenced by any stored entry (0 or 1)."""
-        m = 0
-        for key in self.entries:
-            m = max(m, key[3], key[4], key[5])
-        return m
-
     def as_rows(self) -> list[list]:
         """Entries as sorted ``[i1, i2, i3, mu1, mu2, mu3, value]`` rows."""
         return [[*key, self.entries[key]] for key in sorted(self.entries)]

@@ -31,6 +31,9 @@ import numpy as np
 
 from .grid import GridField, _mode_grids
 
+#: shells must stay inside this fraction of the Nyquist frequency
+NYQUIST_MARGIN = 0.98
+
 DEFAULT_DIRECTIONS = np.array([
     [1.0, 0.0, 0.0],
     [0.0, 1.0, 0.0],
@@ -141,9 +144,6 @@ class WaveletBasis:
     def ball_radius(self) -> float:
         return self.geometry.ball_radius
 
-    def window_shells(self) -> range:
-        return range(self.n_window[0], self.n_window[1] + 1)
-
     def covers(self, n_min: int, n_max: int) -> bool:
         return self.n_window[0] <= n_min and n_max <= self.n_window[1]
 
@@ -179,9 +179,7 @@ class WaveletBasis:
 
 def build_wavelet_basis(lam: float, n_grid: int,
                         n_window: tuple[int, int] = (0, 2),
-                        base_scale: float = 4.0,
-                        geometry: BallGeometry | None = None,
-                        nyquist_margin: float = 0.98) -> WaveletBasis:
+                        base_scale: float = 4.0) -> WaveletBasis:
     """Construct the realized basis for a shell window on an N^3 grid.
 
     Raises
@@ -198,10 +196,7 @@ def build_wavelet_basis(lam: float, n_grid: int,
     n_lo, n_hi = int(n_window[0]), int(n_window[1])
     if n_lo > n_hi:
         raise ValueError(f"empty shell window {n_window!r}")
-    if geometry is None:
-        geometry = BallGeometry.for_lambda(lam)
-    else:
-        geometry.validate(lam)
+    geometry = BallGeometry.for_lambda(lam)
 
     box = 2.0 * np.pi * base_scale
     gx, gy, gz = _mode_grids(n_grid)
@@ -215,10 +210,10 @@ def build_wavelet_basis(lam: float, n_grid: int,
     for n in range(n_lo, n_hi + 1):
         scale = lam ** n
         outer = (geometry.center_radius + geometry.ball_radius) * scale
-        if outer > nyquist_margin * nyq:
+        if outer > NYQUIST_MARGIN * nyq:
             raise UnresolvedShellError(
                 f"shell {n} reaches |xi|={outer:.3g}, beyond "
-                f"{nyquist_margin:.2f} x Nyquist ({nyq:.3g})")
+                f"{NYQUIST_MARGIN:.2f} x Nyquist ({nyq:.3g})")
         for i in range(4):
             center = geometry.centers()[i] * scale
             radius = geometry.ball_radius * scale

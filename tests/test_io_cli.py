@@ -1,10 +1,14 @@
 """File formats, schema versioning, manifests, and CLI subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cascadelab
 from cascadelab import io as iomod
 from cascadelab.cascade import builtin_dyadic_config, state_from_entries
 from cascadelab.cli import main
@@ -238,12 +242,21 @@ class TestCLI:
                      str(params), "--out", str(tmp_path / "r.json")])
         assert code == 1
 
-    def test_analyze_workers_validated(self, tmp_path):
-        params = write_params(tmp_path / "params.json")
-        code = main(["analyze", "--snapshots", str(tmp_path), "--params",
-                     str(params), "--out", str(tmp_path / "r.json"),
-                     "--workers", "0"])
-        assert code == 1
+    def test_analyze_reads_vitali_pre_dilation(self, tmp_path):
+        snap_dir = tmp_path / "snaps"
+        snap_dir.mkdir()
+        for s in range(3):
+            fld = GridField(np.zeros((3, 32, 32, 32)), 2 * np.pi, time_tag=s / 2.0)
+            iomod.save_snapshot(fld, snap_dir / f"snapshot_{s:04d}")
+        params = write_params(tmp_path / "params.json", vitali_pre_dilation=1.0)
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", "--snapshots", str(snap_dir), "--params",
+                     str(params), "--out", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["params"]["vitali_pre_dilation"] == 1.0
+        params = write_params(tmp_path / "params.json", vitali_pre_dilation=0.5)
+        assert main(["analyze", "--snapshots", str(snap_dir), "--params",
+                     str(params), "--out", str(report_path)]) == 1
 
     def test_single_mode_snapshot_norm(self, tmp_path):
         from cascadelab.grid import l2_norm
@@ -289,6 +302,40 @@ class TestCLI:
         assert by_level[3]["bad_count"] > 0
         assert by_level[3]["bad_count"] < by_level[3]["tiling_count"]
         assert by_level[3]["vitali_count"] >= 1
+
+
+def _simulate_with(integrator):
+    def argv(tmp_path):
+        config = write_config(tmp_path / "c.json", integrator=integrator)
+        return ["simulate", "--config", str(config), "--t-end", "0.01",
+                "--out", str(tmp_path / "traj.csv")]
+    return argv
+
+
+MALFORMED_INPUT = [
+    pytest.param(_simulate_with({"bogus": 1.0}), 2, id="integrator-unknown-key"),
+    pytest.param(_simulate_with({"rel_tol": 0.5}), 1, id="rel-tol-out-of-range"),
+    pytest.param(_simulate_with({"rel_tol": "abc"}), 2, id="rel-tol-not-a-number"),
+    pytest.param(_simulate_with({"initial": {"X_1": 1.0}}), 2,
+                 id="initial-key-malformed"),
+    pytest.param(_simulate_with({"initial": [1.0]}), 2, id="initial-not-an-object"),
+    pytest.param(lambda tmp_path: [
+        "synthesize", "--trajectory", str(tmp_path / "traj.csv"),
+        "--basis-config", str(tmp_path / "basis.json"), "--times", "0.1,abc",
+        "--out-dir", str(tmp_path / "snaps")], 2, id="times-not-a-number"),
+]
+
+
+@pytest.mark.parametrize("make_argv, code", MALFORMED_INPUT)
+def test_malformed_input_exits_without_traceback(tmp_path, make_argv, code):
+    src = os.path.dirname(os.path.dirname(cascadelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "cascadelab.cli",
+                           *make_argv(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestManifest:

@@ -77,6 +77,18 @@ class TestWaveletCoefficient:
             assert total_sq >= restricted * (1 - 1e-12)
 
 
+class TestCoefficientCache:
+    def test_tables_match_dense_coefficient(self):
+        rng = np.random.default_rng(11)
+        fld = GridField(rng.normal(size=(3, N, N, N)), 2 * np.pi, time_tag=0.0)
+        cache = CoefficientCache([fld], EPS)
+        for level in (2, 3):
+            table = cache.table(0, level, level)
+            for cube in cube_hierarchy(level, EPS, N):
+                assert table[cube.corner] == pytest.approx(
+                    wavelet_coefficient(fld, cube, level), rel=1e-12)
+
+
 class TestBadnessFunctional:
     def test_zero_trajectory_regular(self):
         snaps = [GridField(np.zeros((3, N, N, N)), 2 * np.pi, time_tag=t)
