@@ -69,7 +69,7 @@ class CascadeConfig:
 
     @cached_property
     def compiled_rhs(self) -> "CompiledRHS":
-        """Right-hand-side plan, built once per (immutable) config."""
+        """Plan built once; the tensor must not be mutated after construction."""
         return CompiledRHS(self)
 
 

@@ -24,6 +24,8 @@ Termination is threefold:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
@@ -44,11 +46,12 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _ORDER = 5  # of the propagated solution
 
 
+_POSITIVE = (lambda v: 0 < v <= sys.float_info.max, "be positive and finite")
 #: step controls: name -> (accepted types, range test, range rule)
 CONTROLS = {
     "rel_tol": ((int, float), lambda v: 1e-14 < v < 1e-2, "lie in (1e-14, 1e-2)"),
-    "h_min": ((int, float), lambda v: v > 0, "be positive"),
-    "guard_factor": ((int, float), lambda v: v > 0, "be positive"),
+    "h_min": ((int, float), *_POSITIVE),
+    "guard_factor": ((int, float), *_POSITIVE),
     "max_steps": (int, lambda v: v >= 1, "be at least 1"),
 }
 

@@ -53,7 +53,7 @@ def load_json(path, expected_schema: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
@@ -114,7 +114,7 @@ def initial_state(config: CascadeConfig, entries) -> CascadeState:
         parsed[int(match[1]), int(match[2])] = value
     try:
         state = state_from_entries(config, parsed)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # outside the window, or too large
         raise DomainError(f"initial entry: {exc}") from exc
     if not state.finite:
         raise DomainError("initial entries must be finite")
@@ -210,9 +210,9 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 def save_snapshot(fld: GridField, path_base, basis_id: str = "",
-                  extra: dict | None = None, *,
-                  write_sidecar: bool = True) -> tuple[str, dict]:
-    """Write the raw samples (and the sidecar, unless deferred); return both."""
+                  extra: dict | None = None) -> tuple[str, dict]:
+    """Write the raw samples; return their path and the sidecar document,
+    which the caller completes and writes once to ``<path_base>.json``."""
     raw_path = str(path_base) + ".raw"
     fld.data.astype("<f8").tofile(raw_path)
     doc = {
@@ -224,8 +224,6 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
         "basis_id": basis_id,
     }
     doc.update(extra or {})
-    if write_sidecar:
-        dump_json(doc, str(path_base) + ".json")
     return raw_path, doc
 
 

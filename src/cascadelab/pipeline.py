@@ -133,7 +133,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         max_roundtrip = max(max_roundtrip, err)
         base = os.path.join(out_dir, f"snapshot_{idx:04d}")
         _, sidecar = iomod.save_snapshot(
-            fld, base, basis_id=basis.basis_id, write_sidecar=False,
+            fld, base, basis_id=basis.basis_id,
             extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
         written.append((base, sidecar))
 
@@ -142,7 +142,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     manifest_digest = _finish_manifest(manifest, out_dir, clock)
     for base, sidecar in written:  # written once, with the final digest
         sidecar["manifest_digest"] = manifest_digest
-        iomod.dump_json(sidecar, base + ".json")
+        iomod.dump_json(sidecar, f"{base}.json")
     return {"written": [base for base, _ in written],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
@@ -190,8 +190,7 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
     os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
-        "analyze", iomod.canonical_digest(doc),
-        {"levels": levels},
+        "analyze", iomod.canonical_digest(doc), {"levels": levels},
         [str(params_path)] + [b + ".raw" for b in bases], [str(out_path)], 0.0)
     manifest_digest = _finish_manifest(manifest, out_dir, clock)
 

@@ -104,7 +104,8 @@ class TestSnapshotFiles:
         rng = np.random.default_rng(0)
         fld = GridField(rng.normal(size=(3, 8, 8, 8)), 2 * np.pi, time_tag=0.7)
         base = tmp_path / "snapshot_0000"
-        iomod.save_snapshot(fld, base, basis_id="abc")
+        _, sidecar = iomod.save_snapshot(fld, base, basis_id="abc")
+        iomod.dump_json(sidecar, f"{base}.json")
         back = iomod.load_snapshot(base)
         assert back.data.tobytes() == fld.data.tobytes()
         assert back.time_tag == 0.7
@@ -114,7 +115,8 @@ class TestSnapshotFiles:
         rng = np.random.default_rng(1)
         fld = GridField(rng.normal(size=(3, 8, 8, 8)), 2 * np.pi, time_tag=0.0)
         base = tmp_path / "snapshot_0000"
-        iomod.save_snapshot(fld, base)
+        _, sidecar = iomod.save_snapshot(fld, base)
+        iomod.dump_json(sidecar, f"{base}.json")
         (tmp_path / "snapshot_0000.raw").write_bytes(b"\x00" * 16)
         with pytest.raises(iomod.InputError):
             iomod.load_snapshot(base)
@@ -247,7 +249,8 @@ class TestCLI:
         snap_dir.mkdir()
         for s in range(3):
             fld = GridField(np.zeros((3, 32, 32, 32)), 2 * np.pi, time_tag=s / 2.0)
-            iomod.save_snapshot(fld, snap_dir / f"snapshot_{s:04d}")
+            base = snap_dir / f"snapshot_{s:04d}"
+            iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
         params = write_params(tmp_path / "params.json", vitali_pre_dilation=1.0)
         report_path = tmp_path / "report.json"
         assert main(["analyze", "--snapshots", str(snap_dir), "--params",
@@ -290,7 +293,8 @@ class TestCLI:
             data = np.zeros((3, n, n, n))
             data[0] = (1.3 ** s) * envelope * carrier
             fld = GridField(data, 2 * np.pi, time_tag=s / 2.0)
-            iomod.save_snapshot(fld, snap_dir / f"snapshot_{s:04d}")
+            base = snap_dir / f"snapshot_{s:04d}"
+            iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
         # between the background floor (~30) and the peak (~237) of the
         # level-3 ratios for this localized setup
         params = write_params(tmp_path / "params.json", K_threshold=100.0)
@@ -319,6 +323,10 @@ MALFORMED_INPUT = [
     pytest.param(_simulate_with({"initial": {"X_1": 1.0}}), 2,
                  id="initial-key-malformed"),
     pytest.param(_simulate_with({"initial": [1.0]}), 2, id="initial-not-an-object"),
+    pytest.param(_simulate_with({"guard_factor": 10 ** 400}), 1,
+                 id="guard-factor-too-large"),
+    pytest.param(_simulate_with({"initial": {"X_1_0": 10 ** 400}}), 1,
+                 id="initial-value-too-large"),
     pytest.param(lambda tmp_path: [
         "synthesize", "--trajectory", str(tmp_path / "traj.csv"),
         "--basis-config", str(tmp_path / "basis.json"), "--times", "0.1,abc",
