@@ -124,17 +124,23 @@ def dilated_contains(cube: CubeId, points: np.ndarray, n_grid: int,
     return inside
 
 
+def _axis_cells(start: float, stop: float, level_side: int,
+                n_grid: int) -> list[int]:
+    """Indices of the level cells (side ``level_side``) meeting [start, stop)."""
+    m = n_grid // level_side
+    if stop - start >= n_grid:
+        return list(range(m))
+    return [p % m for p in range(math.floor(start / level_side),
+                                 math.ceil(stop / level_side))]
+
+
 def _lattice_cover(cube: CubeId, grow: float, level: int,
                    n_grid: int) -> list[tuple[int, int, int]]:
     """Corners of the level cubes meeting Q grown by ``grow * side`` per face."""
     level_side, _ = level_geometry(level, cube.epsilon, n_grid)
-    m = n_grid // level_side
-    ranges = [range(m) if stop - start >= n_grid
-              else range(math.floor(start / level_side),
-                         math.ceil(stop / level_side))
-              for start, stop in _enlarged_extent(cube, n_grid, grow)]
-    return [(px % m, py % m, pz % m)
-            for px, py, pz in itertools.product(*ranges)]
+    return list(itertools.product(
+        *(_axis_cells(start, stop, level_side, n_grid)
+          for start, stop in _enlarged_extent(cube, n_grid, grow))))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +209,15 @@ def bump_function(cube: CubeId, n_grid: int, type_j: int | None = None,
 # nuclear families
 
 
+def _band_grow(cube: CubeId) -> float:
+    """Per-face growth, in sides, of the enlarged cube (1 + 2**(-eps j)) Q."""
+    return 0.5 * 2.0 ** (-cube.epsilon * cube.j)
+
+
 def _band_cover(cube: CubeId, level: int, n_grid: int) -> list[CubeId]:
     """Cubes at ``level`` meeting the enlarged cube (1 + 2**(-eps j)) Q."""
-    grow = 0.5 * 2.0 ** (-cube.epsilon * cube.j)
     return [CubeId(level, corner, cube.epsilon)
-            for corner in _lattice_cover(cube, grow, level, n_grid)]
+            for corner in _lattice_cover(cube, _band_grow(cube), level, n_grid)]
 
 
 def nuclear_family(cube: CubeId, depth: int, n_grid: int,
@@ -218,7 +228,8 @@ def nuclear_family(cube: CubeId, depth: int, n_grid: int,
     covering the enlargement of Q; deeper families recurse member-wise.
     Bands outside the resolvable level range are clamped to the nearest
     resolvable level when ``clamp`` is set, otherwise a
-    :class:`LevelResolutionError` propagates.
+    :class:`LevelResolutionError` propagates.  This enumeration is the
+    reference for :func:`family_matrices`, which the analyzer uses.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -239,6 +250,37 @@ def nuclear_family(cube: CubeId, depth: int, n_grid: int,
                         f"family band at level {level} is unresolved "
                         f"(valid range [{lo}, {hi}])")
                 nxt.update(_band_cover(q, level, n_grid))
+        current = nxt
+    return current
+
+
+def family_matrices(j: int, depth: int, epsilon: float,
+                    n_grid: int) -> dict[int, np.ndarray]:
+    """Per-axis membership of ``N^depth(Q)`` for every level-j cube Q.
+
+    Maps each member level l to a boolean (m_j, m_l) matrix, the same on
+    all three axes: the level-l members of the family of the cube with
+    corner (a, b, c) are the products of rows a, b and c.  Paths compose
+    the band covers with the clamping of ``nuclear_family``; uniting them
+    axis by axis is exact because a cover only grows as the levels along
+    a path coarsen, so the coarsest path to l contains every other one.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    hi = finest_level(epsilon, n_grid)
+    current = {j: np.eye(n_grid // level_geometry(j, epsilon, n_grid)[0], dtype=bool)}
+    for _ in range(depth):
+        nxt: dict[int, np.ndarray] = {}
+        for level, member in current.items():
+            for target in {min(max(level + offset, COARSEST_LEVEL), hi)
+                           for offset in range(-2, 3)}:
+                side, _ = level_geometry(target, epsilon, n_grid)
+                cover = np.zeros((member.shape[1], n_grid // side), dtype=bool)
+                for p in range(member.shape[1]):  # band covers along one axis
+                    probe = CubeId(level, (p, 0, 0), epsilon)
+                    start, stop = _enlarged_extent(probe, n_grid, _band_grow(probe))[0]
+                    cover[p, _axis_cells(start, stop, side, n_grid)] = True
+                nxt[target] = nxt.get(target, False) | member @ cover
         current = nxt
     return current
 

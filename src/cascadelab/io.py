@@ -227,18 +227,31 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
     return raw_path, doc
 
 
+#: sidecar fields of a snapshot and the JSON types they must have
+_SNAPSHOT_FIELDS = {"n_grid": (int,), "components": (int,),
+                    "box_size": (int, float), "time": (int, float, type(None))}
+
+
 def load_snapshot(path_base) -> GridField:
+    """Snapshot from ``<path_base>.json`` and ``.raw``; a malformed file or
+    a sidecar field missing or of the wrong type is an InputError."""
     doc = load_json(str(path_base) + ".json", SCHEMA_SNAPSHOT)
-    n = int(doc["n_grid"])
-    comps = int(doc["components"])
+    for key, kinds in _SNAPSHOT_FIELDS.items():
+        if not _typed(doc.get(key), kinds):
+            raise InputError(f"{path_base}.json: {key} is missing or of "
+                             f"the wrong type ({doc.get(key)!r})")
+    n, comps, time_tag = doc["n_grid"], doc["components"], doc.get("time")
     try:
         data = np.fromfile(str(path_base) + ".raw", dtype="<f8")
     except OSError as exc:
         raise InputError(f"cannot read {path_base}.raw: {exc}") from exc
     if data.size != comps * n ** 3:
         raise InputError(f"{path_base}.raw: size does not match the sidecar")
-    fld = GridField(data.reshape(comps, n, n, n),
-                    float(doc["box_size"]), doc.get("time"))
+    try:
+        fld = GridField(data.reshape(comps, n, n, n),
+                        float(doc["box_size"]), time_tag)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path_base}: {exc}") from exc
     fld.meta["basis_id"] = doc.get("basis_id", "")
     return fld
 

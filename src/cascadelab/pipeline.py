@@ -155,25 +155,36 @@ _OPTIONAL_PARAMS = {"nuclear_depth": int, "window_exponent": int,
 
 
 def load_regularity_params(path) -> tuple[RegularityParams, dict]:
+    """Params and the document; a field that does not convert is an
+    InputError, a value too large or out of range a DomainError."""
     doc = iomod.load_json(path, iomod.SCHEMA_PARAMS)
     try:
-        params = RegularityParams(
-            alpha=float(doc["alpha"]), epsilon=float(doc["epsilon"]),
-            gamma=float(doc["gamma"]), K_threshold=float(doc["K_threshold"]),
-            **{name: kind(doc[name]) for name, kind in _OPTIONAL_PARAMS.items()
-               if doc.get(name) is not None})
+        fields = {name: float(doc[name])
+                  for name in ("alpha", "epsilon", "gamma", "K_threshold")}
+        fields.update({name: kind(doc[name])
+                       for name, kind in _OPTIONAL_PARAMS.items()
+                       if doc.get(name) is not None})
     except KeyError as exc:
         raise iomod.InputError(f"params document missing {exc}") from exc
     except (TypeError, ValueError) as exc:
+        raise iomod.InputError(f"params document: {exc}") from exc
+    except OverflowError as exc:
+        raise iomod.DomainError(f"params document: {exc}") from exc
+    try:
+        return RegularityParams(**fields), doc
+    except ValueError as exc:
         raise iomod.DomainError(str(exc)) from exc
-    return params, doc
 
 
 def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     """Classify cubes across levels and write the covering report."""
     clock = iomod.ManifestClock()
     params, doc = load_regularity_params(params_path)
-    levels = [int(j) for j in doc.get("levels", [2, 3, 4, 5])]
+    levels = doc.get("levels", [2, 3, 4, 5])
+    if not isinstance(levels, list) or not all(
+            isinstance(j, int) and not isinstance(j, bool) for j in levels):
+        raise iomod.InputError(
+            f"{params_path}: levels must be a list of integers, got {levels!r}")
 
     bases = sorted(
         os.path.join(snapshot_dir, name[:-5])

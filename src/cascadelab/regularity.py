@@ -18,18 +18,23 @@ where ``N^L(Q)`` is the nuclear family and the proof-scale constants
 (window exponent, family depth, offset) are exposed as parameters with
 desk-scale defaults.  Raw (lhs, threshold) pairs are always reported so a
 different K needs no recomputation.
+
+Cube sums separate by axis, so a level is classified at once: each
+snapshot is FFT'd once (real transform) for all its band densities, and
+coefficient tables and family energies are per-axis contractions, the
+latter with :func:`~cascadelab.cubes.family_matrices` (checked against
+the reference enumeration :func:`~cascadelab.cubes.nuclear_family`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import (VITALI_DILATION, BumpProfile, CubeId,
+from .cubes import (COARSEST_LEVEL, VITALI_DILATION, BumpProfile, CubeId,
                     LevelResolutionError, covering_count, cube_hierarchy,
-                    level_geometry, nuclear_family, vitali_cover)
+                    family_matrices, level_geometry, vitali_cover)
 from .grid import GridField, apply_symbol, wave_magnitude
 from .spectral import LPPartition, fractional_symbol
 
@@ -92,8 +97,7 @@ class RegularityParams:
         return self.epsilon if self.exponent_offset is None else self.exponent_offset
 
     def threshold(self, j: int) -> float:
-        expo = (5.0 - 4.0 * self.alpha) + self.offset + self.gamma
-        return self.K_threshold * 2.0 ** (-expo * j)
+        return self.K_threshold * 2.0 ** (-self.desk_bound * j)
 
     @property
     def desk_bound(self) -> float:
@@ -156,101 +160,101 @@ class CoefficientCache:
         self.partition = mode_partition(self.n_grid)
         self.unresolved_bands: set[int] = set()
         self._band_sq: dict[tuple[int, int], np.ndarray] = {}
+        self._symbols: dict[int, np.ndarray] = {}
         self._tables: dict[tuple[int, int, int], np.ndarray] = {}
-        self._templates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._family_sq: dict[tuple[CubeId, int], np.ndarray] = {}
+        self._weights: dict[int, np.ndarray] = {}
+        self._family_sq: dict[tuple[int, int], np.ndarray] = {}
 
     def band_energy_density(self, s: int, k: int) -> np.ndarray:
-        key = (s, k)
-        if key not in self._band_sq:
-            proj = band_project(self.snapshots[s], k, self.partition)
-            self._band_sq[key] = np.sum(proj.data ** 2, axis=0)
-        return self._band_sq[key]
+        """Pointwise ``|P_k u(t_s)|^2``.
 
-    def _template(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis squared cutoff weights and relative cell offsets."""
-        if level not in self._templates:
+        The first request for snapshot s transforms it once with a real
+        FFT and fills every band from ``COARSEST_LEVEL`` (or k, if lower)
+        to the top band from that spectrum, which is then dropped.
+        """
+        if (s, k) not in self._band_sq:
+            self.partition.check(k)
+            spectrum = np.fft.rfftn(self.snapshots[s].data, axes=(1, 2, 3))
+            for band in range(min(k, COARSEST_LEVEL), self.partition.j_max + 1):
+                symbol = self._half_symbol(band)
+                # irfftn, in place and without the columns where the band is zero
+                proj = spectrum[..., :symbol.shape[-1]] * symbol
+                np.fft.ifft(proj, axis=1, out=proj)
+                np.fft.ifft(proj, axis=2, out=proj)
+                proj = np.fft.irfft(proj, n=self.n_grid, axis=3)
+                self._band_sq[s, band] = np.sum(np.square(proj, out=proj), axis=0)
+        return self._band_sq[s, k]
+
+    def _half_symbol(self, band: int) -> np.ndarray:
+        """Band symbol on the real-FFT half spectrum, up to its last nonzero column."""
+        if band not in self._symbols:
+            n = self.n_grid
+            symbol = self.partition.symbol(band, mode_radii(n)[..., :n // 2 + 1])
+            cols = int(np.flatnonzero(symbol.any(axis=(0, 1)))[-1]) + 1
+            self._symbols[band] = symbol[..., :cols].copy()
+        return self._symbols[band]
+
+    def _axis_weights(self, level: int) -> np.ndarray:
+        """(m, N) squared cutoff profile of each level cube along one axis."""
+        if level not in self._weights:
             side, _ = level_geometry(level, self.epsilon, self.n_grid)
-            probe = CubeId(level, (0, 0, 0), self.epsilon)
-            profile = BumpProfile(probe, self.n_grid, type_j=level)
-            pad = int(np.ceil(profile.margin)) + 1
-            offsets = np.arange(-pad, side + pad)
-            weights = profile.axis_profile(offsets.astype(float), 0) ** 2
-            self._templates[level] = (offsets, weights)
-        return self._templates[level]
+            cells = np.arange(self.n_grid, dtype=float)
+            self._weights[level] = np.array([
+                BumpProfile(CubeId(level, (p, 0, 0), self.epsilon), self.n_grid,
+                            type_j=level).axis_profile(cells, 0) ** 2
+                for p in range(self.n_grid // side)])
+        return self._weights[level]
 
     def table(self, s: int, level: int, band: int) -> np.ndarray:
         key = (s, level, band)
-        if key in self._tables:
-            return self._tables[key]
-        side, _ = level_geometry(level, self.epsilon, self.n_grid)
-        m = self.n_grid // side
-        if not self.partition.j_min <= band <= self.partition.j_max:
-            self.unresolved_bands.add(band)
-            out = np.zeros((m, m, m))
-            self._tables[key] = out
-            return out
-        offsets, weights = self._template(level)
-        density = self.band_energy_density(s, band)
-        dV = self.snapshots[s].cell_volume
-        out = np.empty((m, m, m))
-        idx_axis = [(offsets + p * side) % self.n_grid for p in range(m)]
-        for px, py, pz in itertools.product(range(m), repeat=3):
-            patch = density[np.ix_(idx_axis[px], idx_axis[py], idx_axis[pz])]
-            val = np.einsum("a,b,c,abc->", weights, weights, weights, patch)
-            out[px, py, pz] = np.sqrt(val * dV)
-        self._tables[key] = out
-        return out
+        if key not in self._tables:
+            weights = self._axis_weights(level)
+            if self.partition.j_min <= band <= self.partition.j_max:
+                energy = _separable_sum(weights, self.band_energy_density(s, band))
+                self._tables[key] = np.sqrt(energy * self.snapshots[s].cell_volume)
+            else:
+                self.unresolved_bands.add(band)
+                self._tables[key] = np.zeros((len(weights),) * 3)
+        return self._tables[key]
 
-    def family_sq_series(self, cube: CubeId, depth: int) -> np.ndarray:
-        """Time series of the nuclear-family energy ``sum u_{Q'}^2``.
+    def family_sq(self, level: int, depth: int) -> np.ndarray:
+        """Nuclear-family energy ``sum_{N^depth(Q)} u_{Q'}^2`` of every level cube.
 
-        Independent of the classification exponents, so one computation
-        serves every parameter set sharing the cube geometry.
+        Shape (snapshots, m, m, m).  Independent of the classification
+        exponents, so one computation serves every parameter set sharing
+        the cube geometry.
         """
-        key = (cube, depth)
+        key = (level, depth)
         if key not in self._family_sq:
-            by_level = _family_index(cube, depth, self.n_grid)
-            out = np.zeros(len(self.snapshots))
-            for s in range(len(self.snapshots)):
-                total = 0.0
-                for level, idx in by_level.items():
-                    tab = self.table(s, level, level)
-                    total += float(np.sum(tab[idx] ** 2))
-                out[s] = total
-            self._family_sq[key] = out
+            total = 0.0
+            for level_l, member in family_matrices(
+                    level, depth, self.epsilon, self.n_grid).items():
+                member = member.astype(float)
+                total = total + np.array([
+                    _separable_sum(member, self.table(s, level_l, level_l) ** 2)
+                    for s in range(len(self.snapshots))])
+            self._family_sq[key] = total
         return self._family_sq[key]
 
+    def family_sq_series(self, cube: CubeId, depth: int) -> np.ndarray:
+        """Time series of the nuclear-family energy ``sum u_{Q'}^2`` of one cube."""
+        return self.family_sq(cube.j, depth)[(slice(None),) + cube.corner]
 
-# nuclear-family lattice indices are pure cube geometry: share them across
-# caches (different snapshot sets, same grid)
-_FAMILY_INDEX: dict[tuple, dict[int, tuple]] = {}
 
-
-def _family_index(cube: CubeId, depth: int, n_grid: int) -> dict[int, tuple]:
-    key = (cube, depth, n_grid)
-    if key not in _FAMILY_INDEX:
-        family = nuclear_family(cube, depth, n_grid, clamp=True)
-        by_level: dict[int, list] = {}
-        for member in family:
-            by_level.setdefault(member.j, []).append(member.corner)
-        _FAMILY_INDEX[key] = {
-            level: tuple(np.array(corners).T)
-            for level, corners in by_level.items()}
-    return _FAMILY_INDEX[key]
+def _separable_sum(weights: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """``out[a,b,c] = sum_{ijk} w[a,i] w[b,j] w[c,k] arr[i,j,k]`` for an (m, n) w."""
+    for _ in range(3):
+        arr = np.tensordot(arr, weights, axes=(0, 1))
+    return arr
 
 
 # ---------------------------------------------------------------------------
 # badness functional and classification
 
 
-def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
-    return float(np.trapezoid(values, times))
-
-
 def _terminal_window_mean(times: np.ndarray, values: np.ndarray,
-                          width: float) -> tuple[float, bool]:
-    """Mean of a sampled function over the terminal window [T - width, T].
+                          width: float) -> tuple[np.ndarray, bool]:
+    """Mean of sampled functions (time along axis 0) over [T - width, T].
 
     Evaluated in mean form (never forming T - width when the window is
     narrower than float spacing allows), with linear interpolation inside
@@ -260,53 +264,59 @@ def _terminal_window_mean(times: np.ndarray, values: np.ndarray,
     T = times[-1]
     span = T - times[0]
     if width <= 0:
-        return float(values[-1]), False
+        return values[-1], False
     if width >= span:
-        total = _trapezoid(times, values)
+        total = np.trapezoid(values, times, axis=0)
         return total / max(span, np.finfo(float).tiny), True
     gap = T - times[-2]
     if width <= gap:
         slope = (values[-1] - values[-2]) / gap
-        return float(values[-1] - 0.5 * slope * width), False
+        return values[-1] - 0.5 * slope * width, False
     t_lo = T - width
     inside = times >= t_lo
+    i = int(np.searchsorted(times, t_lo, side="right")) - 1
+    slope = (values[i + 1] - values[i]) / (times[i + 1] - times[i])
+    left = slope * (t_lo - times[i]) + values[i]
     ts = np.concatenate([[t_lo], times[inside]])
-    left = np.interp(t_lo, times, values)
-    vs = np.concatenate([[left], values[inside]])
-    return _trapezoid(ts, vs) / width, False
+    vs = np.concatenate([left[None], values[inside]])
+    return np.trapezoid(vs, ts, axis=0) / width, False
+
+
+def _level_badness(cache: CoefficientCache, j: int,
+                   params: RegularityParams) -> np.ndarray:
+    """Left-hand side of the classification inequality for every level-j cube.
+
+    The terminal-window term uses the mean formulation ``W**(wj) int = mean``
+    when the window fits the sampled span, so astronomically narrow windows
+    degrade gracefully to the terminal value instead of underflowing.
+    """
+    times = cache.times
+    width = params.window_base ** (-params.window_exponent * j)
+    term1, clipped = _terminal_window_mean(
+        times, cache.family_sq(j, params.nuclear_depth), width)
+    if clipped:
+        # window wider than the sampled span: apply the raw weight
+        term1 = term1 * ((times[-1] - times[0]) * params.window_base ** (
+            params.window_exponent * j))
+
+    term2 = 0.0
+    for k in range(j, cache.partition.j_max + 1):
+        series = np.array([cache.table(s, j, k) ** 2
+                           for s in range(len(cache.snapshots))])
+        term2 = term2 + 2.0 ** (2.0 * params.alpha * k) * np.trapezoid(
+            series, times, axis=0)
+    return term1 + term2
 
 
 def badness_functional(snapshots: list[GridField], cube: CubeId,
                        params: RegularityParams,
                        cache: CoefficientCache | None = None
                        ) -> tuple[float, float]:
-    """(lhs, threshold) of the classification inequality for one cube.
-
-    The terminal-window term uses the mean formulation ``W**(wj) int = mean``
-    when the window fits the sampled span, so astronomically narrow windows
-    degrade gracefully to the terminal value instead of underflowing.
-    """
+    """(lhs, threshold) of the classification inequality for one cube."""
     if cache is None:
         cache = CoefficientCache(snapshots, cube.epsilon)
-    j = cube.j
-    times = cache.times
-    n_snap = len(cache.snapshots)
-
-    fam_sq = cache.family_sq_series(cube, params.nuclear_depth)
-    width = params.window_base ** (-params.window_exponent * j)
-    term1, clipped = _terminal_window_mean(times, fam_sq, width)
-    if clipped:
-        # window wider than the sampled span: apply the raw weight
-        term1 *= (times[-1] - times[0]) * params.window_base ** (
-            params.window_exponent * j)
-
-    term2 = 0.0
-    for k in range(j, cache.partition.j_max + 1):
-        series = np.array([cache.table(s, j, k)[cube.corner] ** 2
-                           for s in range(n_snap)])
-        term2 += 2.0 ** (2.0 * params.alpha * k) * _trapezoid(times, series)
-
-    return term1 + term2, params.threshold(j)
+    lhs = _level_badness(cache, cube.j, params)[cube.corner]
+    return float(lhs), params.threshold(cube.j)
 
 
 def classify_level_records(snapshots: list[GridField], j: int,
@@ -315,11 +325,10 @@ def classify_level_records(snapshots: list[GridField], j: int,
                            ) -> list[CubeRecord]:
     if cache is None:
         cache = CoefficientCache(snapshots, params.epsilon)
-    records = []
-    for cube in cube_hierarchy(j, params.epsilon, cache.n_grid):
-        lhs, thr = badness_functional(snapshots, cube, params, cache)
-        records.append(CubeRecord(cube, lhs, thr))
-    return records
+    cubes = cube_hierarchy(j, params.epsilon, cache.n_grid)
+    lhs = _level_badness(cache, j, params)
+    return [CubeRecord(cube, float(lhs[cube.corner]), params.threshold(j))
+            for cube in cubes]
 
 
 def classify_level(snapshots: list[GridField], j: int,

@@ -1,12 +1,15 @@
 """Cube hierarchy, graded cutoffs, nuclear families, Vitali selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cascadelab.cubes import (BumpProfile, CubeId, LevelResolutionError,
                               bump_function, cube_hierarchy, cube_side_cells,
-                              cubes_intersect, dilated_contains, finest_level,
-                              level_geometry, nuclear_family, vitali_cover)
+                              cubes_intersect, dilated_contains,
+                              family_matrices, finest_level, level_geometry,
+                              nuclear_family, vitali_cover)
 
 
 class TestHierarchy:
@@ -153,6 +156,26 @@ class TestNuclearFamily:
         q = CubeId(1, (1, 0, 0), 0.25)
         fam = nuclear_family(q, 1, 64)
         assert CubeId(0, (0, 0, 0), 0.25) in fam
+
+    def test_family_matrices_match_enumeration(self):
+        # multiplying out the per-axis rows gives the clamped family
+        # member for member, on sampled cubes of every resolvable level
+        rng = np.random.default_rng(12)
+        for n in (16, 32, 64):
+            for eps in (1 / 4, 1 / 3, 1 / 2):
+                for j in range(finest_level(eps, n) + 1):
+                    tiling = cube_hierarchy(j, eps, n)
+                    for depth in range(3):
+                        rows = family_matrices(j, depth, eps, n)
+                        for i in rng.choice(len(tiling), min(2, len(tiling)),
+                                            replace=False):
+                            q = tiling[i]
+                            got = {CubeId(level, corner, eps)
+                                   for level, member in rows.items()
+                                   for corner in itertools.product(
+                                       *(np.flatnonzero(member[c])
+                                         for c in q.corner))}
+                            assert got == nuclear_family(q, depth, n, clamp=True)
 
 
 class TestVitali:

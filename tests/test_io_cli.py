@@ -316,6 +316,25 @@ def _simulate_with(integrator):
     return argv
 
 
+def _analyze_with(params=None, drop_sidecar_key=None):
+    def argv(tmp_path):
+        snap_dir = tmp_path / "snaps"
+        snap_dir.mkdir()
+        for s in range(3):
+            fld = GridField(np.zeros((3, 8, 8, 8)), 2 * np.pi, time_tag=s / 2.0)
+            base = snap_dir / f"snapshot_{s:04d}"
+            sidecar = iomod.save_snapshot(fld, base)[1]
+            sidecar.pop(drop_sidecar_key, None)
+            iomod.dump_json(sidecar, f"{base}.json")
+        path = write_params(tmp_path / "params.json")
+        doc = json.loads(path.read_text())
+        doc.update(params or {})
+        iomod.dump_json(doc, path)
+        return ["analyze", "--snapshots", str(snap_dir), "--params", str(path),
+                "--out", str(tmp_path / "report.json")]
+    return argv
+
+
 MALFORMED_INPUT = [
     pytest.param(_simulate_with({"bogus": 1.0}), 2, id="integrator-unknown-key"),
     pytest.param(_simulate_with({"rel_tol": 0.5}), 1, id="rel-tol-out-of-range"),
@@ -331,6 +350,11 @@ MALFORMED_INPUT = [
         "synthesize", "--trajectory", str(tmp_path / "traj.csv"),
         "--basis-config", str(tmp_path / "basis.json"), "--times", "0.1,abc",
         "--out-dir", str(tmp_path / "snaps")], 2, id="times-not-a-number"),
+    pytest.param(_analyze_with({"levels": "abc"}), 2, id="levels-a-string"),
+    pytest.param(_analyze_with({"levels": 5}), 2, id="levels-a-number"),
+    pytest.param(_analyze_with(drop_sidecar_key="n_grid"), 2,
+                 id="sidecar-without-n-grid"),
+    pytest.param(_analyze_with({"alpha": "abc"}), 2, id="alpha-not-a-number"),
 ]
 
 

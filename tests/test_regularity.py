@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cascadelab.cubes import CubeId, cube_hierarchy
+from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
 from cascadelab.grid import GridField, l2_norm, plane_wave
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    analyze_snapshots, badness_functional,
@@ -87,6 +87,24 @@ class TestCoefficientCache:
             for cube in cube_hierarchy(level, EPS, N):
                 assert table[cube.corner] == pytest.approx(
                     wavelet_coefficient(fld, cube, level), rel=1e-12)
+
+    def test_family_energy_matches_dense_enumeration(self):
+        rng = np.random.default_rng(13)
+        snaps = [GridField(rng.normal(size=(3, N, N, N)), 2 * np.pi, time_tag=t)
+                 for t in (0.0, 1.0)]
+        cache = CoefficientCache(snaps, EPS)
+        dense = {}
+        for level in (2, 3):
+            family_sq = cache.family_sq(level, 2)
+            for cube in cube_hierarchy(level, EPS, N):
+                family = nuclear_family(cube, 2, N)
+                for s, fld in enumerate(snaps):
+                    for q in family:
+                        if (s, q) not in dense:
+                            dense[s, q] = wavelet_coefficient(fld, q, q.j) ** 2
+                    expect = sum(dense[s, q] for q in family)
+                    assert family_sq[(s,) + cube.corner] == pytest.approx(
+                        expect, rel=1e-12)
 
 
 class TestBadnessFunctional:
