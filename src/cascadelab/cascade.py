@@ -105,28 +105,45 @@ def state_from_entries(config: CascadeConfig, entries: dict, t: float = 0.0) -> 
     return state
 
 
-@dataclass
 class CascadeTrajectory:
-    samples: list[CascadeState]
-    status: str
-    blowup_time_estimate: float | None = None
+    """Times ``times`` (n,) and amplitudes ``X`` (n, 4, n_shells).
 
-    def __post_init__(self):
-        if self.status not in (STATUS_COMPLETED, STATUS_BLOWUP, STATUS_UNDERFLOW):
-            raise ValueError(f"unknown status {self.status!r}")
-        times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+    ``samples`` views each row as a :class:`CascadeState`, built on first
+    use; ``integrator_stats`` holds the counters of ``integrate``.
+    """
+
+    def __init__(self, samples: list[CascadeState], status: str,
+                 blowup_time_estimate: float | None = None):
+        """Trajectory from a list of states, copied into the arrays."""
+        self._set(np.array([s.t for s in samples], dtype=float),
+                  np.stack([s.X for s in samples]), status, blowup_time_estimate)
+
+    @classmethod
+    def from_arrays(cls, times, X, status, blowup_time_estimate=None,
+                    integrator_stats=None) -> "CascadeTrajectory":
+        """Trajectory over the given arrays, which are not copied."""
+        traj = cls.__new__(cls)
+        traj._set(times, X, status, blowup_time_estimate, integrator_stats)
+        return traj
+
+    def _set(self, times, X, status, blowup_time_estimate, integrator_stats=None):
+        if status not in (STATUS_COMPLETED, STATUS_BLOWUP, STATUS_UNDERFLOW):
+            raise ValueError(f"unknown status {status!r}")
+        if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if self.status == STATUS_BLOWUP and self.blowup_time_estimate is None:
+        if status == STATUS_BLOWUP and blowup_time_estimate is None:
             raise ValueError("blowup status requires a blowup_time_estimate")
+        self.times, self.X, self.status = times, X, status
+        self.blowup_time_estimate = blowup_time_estimate
+        self.integrator_stats = integrator_stats or {}
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+    @cached_property
+    def samples(self) -> list[CascadeState]:
+        return [CascadeState(t, x) for t, x in zip(self.times.tolist(), self.X)]
 
     def state_array(self) -> np.ndarray:
         """Stacked amplitudes, shape (n_samples, 4, n_shells)."""
-        return np.stack([s.X for s in self.samples])
+        return self.X
 
 
 # ---------------------------------------------------------------------------
@@ -134,45 +151,44 @@ class CascadeTrajectory:
 
 
 class CompiledRHS:
-    """Precomputed slice plan for fast repeated right-hand-side evaluation.
+    """Gather/scatter plan for fast repeated right-hand-side evaluation.
 
-    For each tensor entry the admissible base shells form one contiguous
-    run, so every contribution is a strided triple product; per entry the
-    output shells are distinct, which makes plain slice accumulation safe.
-    The plan is also the one home of the dissipation rates
-    ``kappa * lam**(2*alpha*n)`` and of the blowup guard's energy-weighted
-    norm ``sum lam**(2n) X**2``.
+    Each kept (entry, base shell) term is compiled, entry by entry and base
+    shells ascending, into flat state indices ``ia, ib`` of its factors and
+    ``io`` of its output, and an amplitude; ``np.bincount`` sums the products
+    per output in that order, as a term-by-term loop would.  States are flat
+    species-major vectors (a (4, n_shells) array is answered in its shape).
+    The plan is also the one home of the dissipation rates and of the blowup
+    guard's norm ``sum lam**(2n) X**2``, both stored flat.
     """
 
     def __init__(self, config: CascadeConfig):
-        self.rates = (config.kappa
-                      * config.lam ** (2.0 * config.alpha * config.shells))
-        self.guard_weights = config.lam ** (2.0 * config.shells)
-        self.terms = []
-        lam, n_min, n_max = config.lam, config.n_min, config.n_max
+        lam, n_min, n_max, n = config.lam, config.n_min, config.n_max, config.n_shells
+        self.rates = np.tile(
+            config.kappa * lam ** (2.0 * config.alpha * config.shells), N_SPECIES)
+        self.guard_weights = np.tile(lam ** (2.0 * config.shells), N_SPECIES)
+        terms = [np.zeros((4, 0))]  # rows: ia, ib, io, amplitude
         for (i1, i2, i3, m1, m2, m3), a in config.tensor.entries.items():
-            top = n_max - max(m1, m2, m3)
-            if top < n_min:
-                continue
-            count = top - n_min + 1
-            amp = a * lam ** (2.5 * np.arange(n_min, top + 1))
-            self.terms.append((i1 - 1, i2 - 1, i3 - 1,
-                               slice(m1, m1 + count), slice(m2, m2 + count),
-                               slice(m3, m3 + count), amp))
+            base = np.arange(n_min, n_max - max(m1, m2, m3) + 1)
+            terms.append([(i - 1) * n + m + base - n_min for i, m in
+                          ((i1, m1), (i2, m2), (i3, m3))] + [a * lam ** (2.5 * base)])
+        ia, ib, io, self.amp = np.concatenate(terms, axis=1)
+        self.ia, self.ib, self.io = (v.astype(np.intp) for v in (ia, ib, io))
 
-    def quadratic(self, X: np.ndarray) -> np.ndarray:
-        deriv = np.zeros_like(X)
-        for i1, i2, i3, s1, s2, s3, amp in self.terms:
-            deriv[i3, s3] += amp * X[i1, s1] * X[i2, s2]
-        return deriv
+    def quadratic(self, flat: np.ndarray) -> np.ndarray:
+        if not self.amp.size:  # bincount without weights counts in integers
+            return np.zeros_like(flat)
+        return np.bincount(self.io, self.amp * flat[self.ia] * flat[self.ib],
+                           len(flat))
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        deriv = self.quadratic(X)
-        deriv -= self.rates * X
-        return deriv
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        flat = y.ravel()
+        deriv = self.quadratic(flat)
+        deriv -= self.rates * flat
+        return deriv if y.ndim == 1 else deriv.reshape(y.shape)
 
-    def weighted_norm(self, X: np.ndarray) -> float:
-        return float(np.sum(self.guard_weights * X ** 2))
+    def weighted_norm(self, y: np.ndarray) -> float:
+        return float(np.sum(self.guard_weights * y.ravel() ** 2))
 
 
 def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
@@ -184,7 +200,7 @@ def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
     dropped together and the cubic flux of the result is exactly zero
     for valid tensors.
     """
-    return config.compiled_rhs.quadratic(state.X)
+    return config.compiled_rhs.quadratic(state.X.ravel()).reshape(state.X.shape)
 
 
 def cascade_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
@@ -223,9 +239,9 @@ def energy_balance_residual(trajectory: CascadeTrajectory,
     with dE/dt from the three-point stencil on the (possibly nonuniform)
     sample grid.  Second-order small on smooth trajectories.
     """
-    if len(trajectory.samples) < 3:
-        raise ValueError("need at least 3 samples for an interior residual")
     times = trajectory.times
+    if len(times) < 3:
+        raise ValueError("need at least 3 samples for an interior residual")
     states = trajectory.state_array()
     energy = 0.5 * np.sum(states ** 2, axis=(1, 2))
     rates = config.compiled_rhs.rates
@@ -236,7 +252,7 @@ def energy_balance_residual(trajectory: CascadeTrajectory,
         dE = (-hr / (hl * (hl + hr)) * energy[k - 1]
               + (hr - hl) / (hl * hr) * energy[k]
               + hl / (hr * (hl + hr)) * energy[k + 1])
-        out[k - 1] = dE + float(np.sum(rates * states[k] ** 2))
+        out[k - 1] = dE + float(np.sum(rates * states[k].ravel() ** 2))
     return out
 
 
@@ -267,17 +283,16 @@ def rescale_trajectory(trajectory: CascadeTrajectory, m: int,
     lam, alpha = config.lam, config.alpha
     amp = lam ** ((2.0 * alpha - 2.5) * m)
     tfac = lam ** (-2.0 * alpha * m)
-    samples = []
-    for s in trajectory.samples:
-        Xp = np.zeros_like(s.X)
-        if m >= 0:
-            Xp[:, m:] = amp * s.X[:, : s.X.shape[1] - m]
-        else:
-            Xp[:, :m] = amp * s.X[:, -m:]
-        samples.append(CascadeState(tfac * s.t, Xp))
+    X = trajectory.X
+    Xp = np.zeros_like(X)
+    if m >= 0:
+        Xp[:, :, m:] = amp * X[:, :, : X.shape[2] - m]
+    else:
+        Xp[:, :, :m] = amp * X[:, :, -m:]
     est = trajectory.blowup_time_estimate
-    return CascadeTrajectory(samples, trajectory.status,
-                             None if est is None else tfac * est)
+    return CascadeTrajectory.from_arrays(tfac * trajectory.times, Xp,
+                                         trajectory.status,
+                                         None if est is None else tfac * est)
 
 
 # ---------------------------------------------------------------------------

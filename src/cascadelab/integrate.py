@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
+from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory, N_SPECIES,
                       STATUS_BLOWUP, STATUS_COMPLETED, STATUS_UNDERFLOW)
 
 # Dormand-Prince 5(4) tableau (row-padded stage matrix)
@@ -42,6 +42,7 @@ _A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
+_STAGES = [_A[stage, :stage] for stage in range(1, 7)]
 
 _ORDER = 5  # of the propagated solution
 
@@ -75,6 +76,11 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
               ) -> CascadeTrajectory:
     """Integrate the cascade ODE from ``initial`` toward ``t_end``.
 
+    The flat state goes to the compiled plan as is, and accepted states
+    fill time and state buffers that double when full.  ``integrator_stats``
+    counts accepted and rejected steps and RHS evaluations and gives the
+    smallest and largest accepted step (None if no step was accepted).
+
     Parameters
     ----------
     rel_tol : float
@@ -98,18 +104,14 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
         raise ValueError("initial state shape does not match the config window")
 
     plan = config.compiled_rhs
-    shape = initial.X.shape
     y = initial.X.astype(float).ravel().copy()
     t = float(initial.t)
     scale0 = max(float(np.max(np.abs(y))), 1e-30)
     atol = rel_tol * 1e-3 * scale0
-    guard = guard_factor * max(plan.weighted_norm(y.reshape(shape)), 1e-30)
-
-    def rhs_flat(ycur):
-        return plan(ycur.reshape(shape)).ravel()
+    guard = guard_factor * max(plan.weighted_norm(y), 1e-30)
 
     k = np.empty((7, y.size))
-    k[0] = rhs_flat(y)
+    k[0] = plan(y)
     # standard magnitude-based starting guess, clipped to the span
     sc = atol + rel_tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
@@ -117,20 +119,22 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
     h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
     h = min(max(h, 1e-12), t_end - t)
 
-    samples = [CascadeState(t, y.reshape(shape).copy())]
+    times, states = np.empty(1024), np.empty((1024, y.size))
+    times[0], states[0] = t, y
+    n = 1
     err_prev = 1.0
-    steps = 0
+    steps = rejected = 0
+    h_lo, h_hi = np.inf, 0.0
     status = STATUS_COMPLETED
 
     while t < t_end:
         if steps >= max_steps:
-            status = _stop_status(plan, y.reshape(shape), guard)
+            status = _stop_status(plan, y, guard)
             break
         steps += 1
         h = min(h, t_end - t)
-        for stage in range(1, 7):
-            yi = y + h * (_A[stage, :stage] @ k[:stage])
-            k[stage] = rhs_flat(yi)
+        for stage, row in enumerate(_STAGES, 1):
+            k[stage] = plan(y + h * (row @ k[:stage]))
         y_new = y + h * (_B5 @ k)
         delta = h * (_ERR @ k)
 
@@ -144,8 +148,13 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
             t += h
             y = y_new
             k[0] = k[6]  # first-same-as-last
-            samples.append(CascadeState(t, y.reshape(shape).copy()))
-            if plan.weighted_norm(y.reshape(shape)) > guard:
+            if n == len(times):  # no view of either buffer exists yet
+                times.resize(2 * n, refcheck=False)
+                states.resize((2 * n, y.size), refcheck=False)
+            times[n], states[n] = t, y
+            n += 1
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
+            if plan.weighted_norm(y) > guard:
                 status = STATUS_BLOWUP
                 break
             err = max(err, 1e-10)
@@ -153,15 +162,20 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
             err_prev = err
             h *= min(5.0, max(0.2, factor))
         else:
+            rejected += 1
             shrink = 0.9 * err ** (-1.0 / _ORDER) if np.isfinite(err) else 0.1
             h *= min(1.0, max(0.1, shrink))
 
         if h < h_min and t < t_end:
-            status = _stop_status(plan, y.reshape(shape), guard)
+            status = _stop_status(plan, y, guard)
             break
 
-    est = samples[-1].t if status == STATUS_BLOWUP else None
-    return CascadeTrajectory(samples, status, est)
+    stats = dict(accepted_steps=n - 1, rejected_steps=rejected,
+                 rhs_evals=6 * steps + 1, h_min_reached=h_lo if n > 1 else None,
+                 h_max_reached=h_hi if n > 1 else None)
+    return CascadeTrajectory.from_arrays(
+        times[:n], states[:n].reshape(n, N_SPECIES, -1), status,
+        t if status == STATUS_BLOWUP else None, stats)
 
 
 def rk4_fixed_step(config: CascadeConfig, initial: CascadeState, dt: float,

@@ -168,17 +168,19 @@ def trajectory_columns(config: CascadeConfig) -> list[str]:
 
 def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
                         path, sidecar: dict | None = None):
+    """Write the CSV row by row from the trajectory arrays, then the sidecar."""
     cols = trajectory_columns(config)
+    times = trajectory.times
+    rows = trajectory.X.reshape(len(times), -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for s in trajectory.samples:
-            row = [repr(float(s.t))] + [repr(float(v)) for v in s.X.ravel()]
-            fh.write(",".join(row) + "\n")
+        for t, x in zip(times.tolist(), rows):
+            fh.write(repr(t) + "," + ",".join(map(repr, x.tolist())) + "\n")
     doc = {
         "schema": SCHEMA_TRAJECTORY,
         "status": trajectory.status,
         "blowup_time_estimate": trajectory.blowup_time_estimate,
-        "n_samples": len(trajectory.samples),
+        "n_samples": len(times),
         "columns": cols,
         "n_min": config.n_min,
         "n_max": config.n_max,
@@ -188,15 +190,19 @@ def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
 
 
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Times, stacked states (n_samples, 4, n_shells), and the sidecar."""
+    """Times, stacked states (n_samples, 4, n_shells), and the sidecar,
+    whose ``n_min <= n_max`` must be JSON integers."""
     sidecar = load_json(str(path) + ".json", SCHEMA_TRAJECTORY)
+    n_min, n_max = sidecar.get("n_min"), sidecar.get("n_max")
+    if not (_typed(n_min, int) and _typed(n_max, int) and n_min <= n_max):
+        raise InputError(f"{path}.json: n_min and n_max must be integers with "
+                         f"n_min <= n_max, got {n_min!r} and {n_max!r}")
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"malformed trajectory CSV {path}: {exc}") from exc
-    n_min, n_max = int(sidecar["n_min"]), int(sidecar["n_max"])
     n_shells = n_max - n_min + 1
     if raw.shape[1] != 1 + N_SPECIES * n_shells:
         raise InputError(f"{path}: column count does not match the sidecar window")

@@ -68,10 +68,11 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
                                  [str(config_path)], [str(out_path)], 0.0)
     manifest_digest = _finish_manifest(manifest, out_dir, clock)
     iomod.save_trajectory_csv(trajectory, config, out_path, sidecar={
-        "config_digest": digest, "manifest_digest": manifest_digest})
+        "config_digest": digest, "manifest_digest": manifest_digest,
+        "integrator_stats": trajectory.integrator_stats})
     return {"status": trajectory.status,
             "blowup_time_estimate": trajectory.blowup_time_estimate,
-            "n_samples": len(trajectory.samples),
+            "n_samples": len(trajectory.times),
             "manifest_digest": manifest_digest}
 
 
@@ -102,7 +103,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     clock = iomod.ManifestClock()
     t_samples, states, sidecar = iomod.load_trajectory_csv(trajectory_path)
     basis = load_basis_config(basis_config_path)
-    n_min, n_max = int(sidecar["n_min"]), int(sidecar["n_max"])
+    n_min, n_max = sidecar["n_min"], sidecar["n_max"]
     if not basis.covers(n_min, n_max):
         raise iomod.DomainError(
             f"basis window {basis.n_window} does not cover shells "
@@ -194,6 +195,9 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
         raise iomod.DomainError(
             f"need at least 3 snapshots in {snapshot_dir}, found {len(bases)}")
     snapshots = [iomod.load_snapshot(base) for base in bases]
+    for base, fld in zip(bases, snapshots):
+        if fld.time_tag is None:
+            raise iomod.InputError(f"{base}.json: snapshot has no time tag")
     snapshots.sort(key=lambda f: f.time_tag)
 
     report = analyze_snapshots(snapshots, params, levels)

@@ -26,6 +26,27 @@ def dyadic_rhs_reference(x, lam, alpha, kappa):
     return out
 
 
+def rhs_by_terms(X, config):
+    """The module docstring's formula, one (entry, base shell) term at a time.
+
+    Powers are taken over whole arrays, because numpy's vectorised ``**``
+    may round differently from the scalar one.
+    """
+    shells = config.shells
+    growth = config.lam ** (2.5 * shells)
+    rates = config.kappa * config.lam ** (2.0 * config.alpha * shells)
+    out = np.zeros_like(X)
+    for (i1, i2, i3, m1, m2, m3), a in config.tensor.entries.items():
+        for k, b in enumerate(shells):
+            if b + max(m1, m2, m3) <= config.n_max:
+                out[i3 - 1, k + m3] += (a * growth[k] * X[i1 - 1, k + m1]
+                                        * X[i2 - 1, k + m2])
+    for i in range(4):
+        for k in range(len(shells)):
+            out[i, k] -= rates[k] * X[i, k]
+    return out
+
+
 class TestCascadeRHS:
     def test_zero_state_zero_rhs(self):
         cfg = builtin_dyadic_config(2.0, 0.0, (0, 5))
@@ -56,6 +77,22 @@ class TestCascadeRHS:
         s = state_from_entries(cfg, {(1, 0): 2.0})
         d = cascade_rhs(s, cfg)
         assert d[0, 0] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("n_min", [0, -3, 4])
+    def test_equals_term_by_term_sum(self, n_min):
+        rng = np.random.default_rng(10 + n_min)
+        configs = [builtin_dyadic_config(1.7, 1.2, (n_min, n_min + 8), kappa=0.4)]
+        for _ in range(6):
+            configs.append(CascadeConfig(
+                lam=float(rng.uniform(1.1, 2.0)), alpha=float(rng.uniform(0, 2)),
+                n_min=n_min, n_max=n_min + int(rng.integers(0, 10)),
+                kappa=float(rng.uniform(0, 3)),
+                tensor=random_valid_tensor(rng, n_groups=4)))
+        for cfg in configs:
+            s = CascadeState(0.0, rng.normal(size=(4, cfg.n_shells)))
+            expected = rhs_by_terms(s.X, cfg)
+            assert np.all(cascade_rhs(s, cfg) == expected)
+            assert np.all(cfg.compiled_rhs(s.X.ravel()) == expected.ravel())
 
     def test_nonzero_shell_window(self):
         # window not starting at zero: base-shell powers follow absolute n

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cascadelab.cascade import (CascadeConfig, builtin_dyadic_config,
+from cascadelab.cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
+                                builtin_dyadic_config,
                                 state_from_entries, total_energy)
 from cascadelab.integrate import integrate, rk4_fixed_step
 
@@ -99,3 +100,35 @@ def test_sample_times_strictly_increasing():
     ts = traj.times
     assert np.all(np.diff(ts) > 0)
     assert ts[-1] == pytest.approx(0.2)
+
+
+def test_samples_view_the_arrays_and_counters_add_up():
+    cfg = builtin_dyadic_config(2.0, 1.0, (0, 7), kappa=0.0)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=10.0, rel_tol=1e-6, guard_factor=1e3)
+    X = traj.state_array()
+    assert X.shape == (len(traj.times), 4, 8)
+    assert len(traj.samples) == len(traj.times)
+    for k, sample in enumerate(traj.samples):
+        assert sample.t == traj.times[k]
+        assert np.all(sample.X == X[k])
+    stats = traj.integrator_stats
+    assert stats["accepted_steps"] == len(traj.times) - 1
+    assert stats["rejected_steps"] > 0
+    assert stats["rhs_evals"] == 6 * (stats["accepted_steps"]
+                                      + stats["rejected_steps"]) + 1
+    steps = np.diff(traj.times)
+    assert stats["h_min_reached"] == pytest.approx(steps.min(), rel=1e-6)
+    assert stats["h_max_reached"] == pytest.approx(steps.max(), rel=1e-6)
+
+
+def test_non_increasing_times_rejected():
+    X = np.zeros((3, 4, 2))
+    with pytest.raises(ValueError):
+        CascadeTrajectory.from_arrays(np.array([0.0, 0.1, 0.1]), X, "completed")
+    with pytest.raises(ValueError):
+        CascadeTrajectory([CascadeState(t, X[0]) for t in (0.0, 0.2, 0.1)],
+                          "completed")
+    with pytest.raises(ValueError):
+        CascadeTrajectory.from_arrays(np.array([0.0, 0.1, 0.2]), X,
+                                      "blowup_detected")

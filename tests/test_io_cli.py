@@ -168,6 +168,19 @@ class TestCLI:
         assert sidecar["status"] == "blowup_detected"
         assert sidecar["blowup_time_estimate"] is not None
 
+    def test_simulate_sidecar_carries_integrator_stats(self, tmp_path):
+        config = write_config(tmp_path / "c.json",
+                              integrator={"initial": {"X_1_0": 1.0}})
+        assert main(["simulate", "--config", str(config), "--t-end", "0.02",
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
+        stats = sidecar["integrator_stats"]
+        assert stats["accepted_steps"] == sidecar["n_samples"] - 1
+        assert stats["rhs_evals"] == 6 * (stats["accepted_steps"]
+                                          + stats["rejected_steps"]) + 1
+        assert 0 < stats["h_min_reached"] <= stats["h_max_reached"]
+        assert "integrator_stats" not in (tmp_path / "manifest.json").read_text()
+
     def test_synthesize_empty_times_writes_nothing(self, tmp_path):
         config = write_config(tmp_path / "c.json", kappa=1.0,
                               integrator={"initial": {"X_1_0": 1.0}})
@@ -316,12 +329,29 @@ def _simulate_with(integrator):
     return argv
 
 
-def _analyze_with(params=None, drop_sidecar_key=None):
+def _synthesize_without(sidecar_key):
+    def argv(tmp_path):
+        config = write_config(tmp_path / "c.json",
+                              integrator={"initial": {"X_1_0": 1.0}})
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--config", str(config), "--t-end", "0.02",
+              "--out", str(traj)])
+        sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
+        del sidecar[sidecar_key]
+        iomod.dump_json(sidecar, f"{traj}.json")
+        basis = write_basis_config(tmp_path / "basis.json")
+        return ["synthesize", "--trajectory", str(traj), "--basis-config",
+                str(basis), "--times", "0.01", "--out-dir", str(tmp_path / "snaps")]
+    return argv
+
+
+def _analyze_with(params=None, drop_sidecar_key=None, untagged=None):
     def argv(tmp_path):
         snap_dir = tmp_path / "snaps"
         snap_dir.mkdir()
         for s in range(3):
-            fld = GridField(np.zeros((3, 8, 8, 8)), 2 * np.pi, time_tag=s / 2.0)
+            fld = GridField(np.zeros((3, 8, 8, 8)), 2 * np.pi,
+                            time_tag=None if s == untagged else s / 2.0)
             base = snap_dir / f"snapshot_{s:04d}"
             sidecar = iomod.save_snapshot(fld, base)[1]
             sidecar.pop(drop_sidecar_key, None)
@@ -355,6 +385,9 @@ MALFORMED_INPUT = [
     pytest.param(_analyze_with(drop_sidecar_key="n_grid"), 2,
                  id="sidecar-without-n-grid"),
     pytest.param(_analyze_with({"alpha": "abc"}), 2, id="alpha-not-a-number"),
+    pytest.param(_synthesize_without("n_min"), 2,
+                 id="trajectory-sidecar-without-n-min"),
+    pytest.param(_analyze_with(untagged=1), 2, id="snapshot-without-time"),
 ]
 
 
