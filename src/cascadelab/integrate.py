@@ -78,8 +78,10 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
 
     The flat state goes to the compiled plan as is, and accepted states
     fill time and state buffers that double when full.  ``integrator_stats``
-    counts accepted and rejected steps and RHS evaluations and gives the
-    smallest and largest accepted step (None if no step was accepted).
+    counts accepted and rejected steps and RHS evaluations, gives the
+    smallest and largest accepted step (None if no step was accepted), and
+    gives ``guard_ratio``, the final energy-weighted norm over the initial
+    one (the guard's reference; None if the final norm overflows).
 
     Parameters
     ----------
@@ -98,6 +100,8 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
                    max_steps=max_steps)
     if not initial.finite:
         raise ValueError("initial state contains non-finite entries")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= initial.t:
         raise ValueError(f"t_end={t_end} does not lie beyond t0={initial.t}")
     if initial.X.shape != (4, config.n_shells):
@@ -108,7 +112,8 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
     t = float(initial.t)
     scale0 = max(float(np.max(np.abs(y))), 1e-30)
     atol = rel_tol * 1e-3 * scale0
-    guard = guard_factor * max(plan.weighted_norm(y), 1e-30)
+    norm0 = max(plan.weighted_norm(y), 1e-30)
+    guard = guard_factor * norm0
 
     k = np.empty((7, y.size))
     k[0] = plan(y)
@@ -170,9 +175,11 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
             status = _stop_status(plan, y, guard)
             break
 
+    ratio = plan.weighted_norm(y) / norm0
     stats = dict(accepted_steps=n - 1, rejected_steps=rejected,
                  rhs_evals=6 * steps + 1, h_min_reached=h_lo if n > 1 else None,
-                 h_max_reached=h_hi if n > 1 else None)
+                 h_max_reached=h_hi if n > 1 else None,
+                 guard_ratio=ratio if np.isfinite(ratio) else None)
     return CascadeTrajectory.from_arrays(
         times[:n], states[:n].reshape(n, N_SPECIES, -1), status,
         t if status == STATUS_BLOWUP else None, stats)

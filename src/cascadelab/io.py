@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -47,12 +48,29 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise OverflowError(f"number {text} is out of range for a float")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_json(path, expected_schema: str) -> dict:
+    """Document of the expected schema.  Unreadable or malformed JSON, a
+    ``NaN``/``Infinity`` literal included, is an InputError; a number that
+    overflows a float is a DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_reject_constant)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -50,8 +50,8 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
     report = validate_tensor(config.tensor)
     if not report.valid:
         raise iomod.DomainError(str(report))
-    if t_end <= 0:
-        raise iomod.DomainError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise iomod.DomainError(f"t_end must be positive and finite, got {t_end}")
 
     initial_entries = integrator.pop("initial", iomod.DEFAULT_INITIAL)
     initial = iomod.initial_state(config, initial_entries)

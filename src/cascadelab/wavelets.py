@@ -16,6 +16,14 @@ grid modes, the family is exactly orthonormal on the grid, coefficients
 are recovered by plain inner products, and zero momentum and
 divergence-freeness hold to machine precision.
 
+Every spectrum the basis builds is Hermitian, so every field is real and
+only real-input transforms run: synthesis inverts the ``kz >= 0`` half of
+the spectrum with ``irfftn``, and projection reads ``Re u_hat`` from one
+``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a real field, so a mode in
+the other half is read at its mirror).  The profile fields ``psi`` are
+materialized on first read; building the basis runs no transform.  Each
+ball is scanned only on the index box around it.
+
 The box side is tied to the dimensionless geometry through ``base_scale``:
 ``box_size = 2 pi base_scale`` makes the fundamental mode ``1/base_scale``
 so the unit annulus is resolved by about ``base_scale`` modes.
@@ -25,11 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import GridField, _mode_grids
+from .grid import GridField, _is_power_of_two
 
 #: shells must stay inside this fraction of the Nyquist frequency
 NYQUIST_MARGIN = 0.98
@@ -119,6 +128,8 @@ class SpectralShell:
     flat_idx: np.ndarray   # flat indices into the N^3 FFT cube
     amp: np.ndarray        # (3, m) real spectral amplitudes
     snap_offset: float     # |center - nearest mode| / ball radius
+    half_idx: np.ndarray   # flat index of each mode, or of its mirror when
+                           # kz > N/2, in the (N, N, N//2+1) rfftn cube
 
 
 @dataclass
@@ -129,7 +140,6 @@ class WaveletBasis:
     geometry: BallGeometry
     n_window: tuple[int, int]
     shells: dict[tuple[int, int], SpectralShell]
-    psi: list[GridField] = field(default_factory=list)
     profile_shell: int = 0
 
     @property
@@ -171,10 +181,32 @@ class WaveletBasis:
 
     def materialize(self, spectrum_flat: np.ndarray,
                     time_tag: float | None = None) -> GridField:
+        """Real field of a Hermitian full-layout flat spectrum; only its
+        ``kz >= 0`` half is read."""
         n = self.n_grid
-        hat = spectrum_flat.reshape(3, n, n, n)
-        data = np.fft.ifftn(hat, axes=(1, 2, 3)).real
+        hat = spectrum_flat.reshape(3, n, n, n)[..., :n // 2 + 1]
+        data = np.fft.irfftn(hat, s=(n, n, n), axes=(1, 2, 3))
         return GridField(data, self.box_size, time_tag)
+
+    @cached_property
+    def psi(self) -> list[GridField]:
+        """The four profile fields on shell ``profile_shell``, built on
+        first read."""
+        fields = []
+        for i in range(1, 5):
+            spec = self.empty_spectrum()
+            sh = self.shells[(i, self.profile_shell)]
+            spec[:, sh.flat_idx] = sh.amp
+            fields.append(self.materialize(spec))
+        return fields
+
+
+def _box_axis(n_grid: int, center: float, radius: float) -> np.ndarray:
+    """Ascending FFT-layout indices of the integer modes within one cell of
+    ``[center - radius, center + radius]`` (mode units) on one axis."""
+    lo = max(int(np.floor(center - radius)) - 1, -(n_grid // 2))
+    hi = min(int(np.ceil(center + radius)) + 1, (n_grid - 1) // 2)
+    return np.sort(np.arange(lo, hi + 1) % n_grid)
 
 
 def build_wavelet_basis(lam: float, n_grid: int,
@@ -193,15 +225,16 @@ def build_wavelet_basis(lam: float, n_grid: int,
     """
     if not 1.0 < lam <= 2.0:
         raise ValueError(f"scale ratio must satisfy 1 < lam <= 2, got {lam}")
+    if not _is_power_of_two(n_grid):
+        raise ValueError(f"grid side must be a power of two, got {n_grid}")
     n_lo, n_hi = int(n_window[0]), int(n_window[1])
     if n_lo > n_hi:
         raise ValueError(f"empty shell window {n_window!r}")
     geometry = BallGeometry.for_lambda(lam)
 
     box = 2.0 * np.pi * base_scale
-    gx, gy, gz = _mode_grids(n_grid)
     # physical frequency of mode k is k / base_scale
-    fx, fy, fz = gx / base_scale, gy / base_scale, gz / base_scale
+    freq = np.fft.fftfreq(n_grid, d=1.0 / n_grid) / base_scale
     nyq = 0.5 * n_grid / base_scale
     norm_factor = box ** 3 / n_grid ** 6  # Parseval weight for FFT-layout sums
 
@@ -217,28 +250,35 @@ def build_wavelet_basis(lam: float, n_grid: int,
         for i in range(4):
             center = geometry.centers()[i] * scale
             radius = geometry.ball_radius * scale
-            dist = np.sqrt((fx - center[0]) ** 2 + (fy - center[1]) ** 2
-                           + (fz - center[2]) ** 2)
+            # the ball and the mode nearest its center lie in this index box;
+            # its axes ascend, so hits come out in the full cube's C order
+            axes = [_box_axis(n_grid, c * base_scale, radius * base_scale)
+                    for c in center]
+            dx, dy, dz = ((freq[a] - c) ** 2 for a, c in zip(axes, center))
+            dist = np.sqrt(dx[:, None, None] + dy[None, :, None]
+                           + dz[None, None, :])
             mask = dist < radius * (1.0 - 1e-12)
             if not np.any(mask):
                 raise UnresolvedShellError(
                     f"shell {n}, species {i + 1}: no grid mode inside the ball")
             snap = float(np.min(dist) / radius)
             pol = _polarization(geometry.directions[i])
-            sel = np.nonzero(mask.ravel())
             ball_amp = radial_bump(dist[mask] / radius)
-            xi = np.stack([fx[mask], fy[mask], fz[mask]])
+            ix, iy, iz = (a[b] for a, b in zip(axes, np.nonzero(mask)))
+            xi = np.stack([freq[ix], freq[iy], freq[iz]])
             xi_dot_v = np.einsum("c,cm->m", pol, xi)
             xi_sq = np.sum(xi ** 2, axis=0)
             amp_half = ball_amp * (pol[:, None] - xi * (xi_dot_v / xi_sq))
 
             # mirror ball at -center: same real amplitudes, negated modes
-            ix, iy, iz = np.nonzero(mask)
-            jx, jy, jz = (-ix) % n_grid, (-iy) % n_grid, (-iz) % n_grid
-            idx_pos = sel[0]
-            idx_neg = (jx * n_grid + jy) * n_grid + jz
-            flat_idx = np.concatenate([idx_pos, idx_neg])
+            ix = np.concatenate([ix, -ix % n_grid])
+            iy = np.concatenate([iy, -iy % n_grid])
+            iz = np.concatenate([iz, -iz % n_grid])
+            flat_idx = (ix * n_grid + iy) * n_grid + iz
             amp = np.concatenate([amp_half, amp_half], axis=1)
+            flip = iz > n_grid // 2  # outside the rfftn half: read the mirror
+            hx, hy, hz = (np.where(flip, -a % n_grid, a) for a in (ix, iy, iz))
+            half_idx = (hx * n_grid + hy) * (n_grid // 2 + 1) + hz
 
             if np.any(claimed[flat_idx]):
                 raise BasisGeometryError(
@@ -250,40 +290,35 @@ def build_wavelet_basis(lam: float, n_grid: int,
             if norm == 0:
                 raise UnresolvedShellError(
                     f"shell {n}, species {i + 1}: degenerate amplitude")
-            shells[(i + 1, n)] = SpectralShell(flat_idx, amp / norm, snap)
+            shells[(i + 1, n)] = SpectralShell(flat_idx, amp / norm, snap,
+                                               half_idx)
 
-    basis = WaveletBasis(lam=lam, n_grid=n_grid, base_scale=base_scale,
-                         geometry=geometry, n_window=(n_lo, n_hi),
-                         shells=shells)
-    profile_shell = 0 if n_lo <= 0 <= n_hi else n_lo
-    basis.profile_shell = profile_shell
-    for i in range(1, 5):
-        spec = basis.empty_spectrum()
-        sh = shells[(i, profile_shell)]
-        spec[:, sh.flat_idx] = sh.amp
-        basis.psi.append(basis.materialize(spec))
-    return basis
+    return WaveletBasis(lam=lam, n_grid=n_grid, base_scale=base_scale,
+                        geometry=geometry, n_window=(n_lo, n_hi),
+                        shells=shells,
+                        profile_shell=0 if n_lo <= 0 <= n_hi else n_lo)
 
 
 def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
-    Output shape is (4, window length), species-major.  Exact (to roundoff)
-    for fields synthesized from the same basis, by disjoint spectral
-    supports.
+    Output shape is (4, window length), species-major.  The amplitudes
+    are real, so only ``Re u_hat`` enters, read from one ``rfftn`` at each
+    mode or its mirror; this is exact for any real field.  Recovery of a
+    field synthesized from the same basis is exact (to roundoff) by
+    disjoint spectral supports.
     """
     if fld.n_grid != basis.n_grid:
         raise ValueError("field grid does not match the basis grid")
     if abs(fld.box_size - basis.box_size) > 1e-12 * basis.box_size:
         raise ValueError("field box size does not match the basis box size")
     n = fld.n_grid
-    hat = np.fft.fftn(fld.data, axes=(1, 2, 3)).reshape(3, n ** 3)
+    hat = np.fft.rfftn(fld.data, axes=(1, 2, 3)).real.reshape(3, -1)
     weight = basis.box_size ** 3 / n ** 6
     lo, hi = basis.n_window
     out = np.zeros((4, hi - lo + 1))
     for (i, shell_n), sh in basis.shells.items():
-        val = np.sum(hat[:, sh.flat_idx] * sh.amp).real * weight
-        out[i - 1, shell_n - lo] = val
+        out[i - 1, shell_n - lo] = np.sum(hat[:, sh.half_idx] * sh.amp) * weight
     return out
 
 

@@ -87,6 +87,9 @@ def test_input_validation():
         integrate(cfg, s, t_end=0.0, rel_tol=1e-8)
     with pytest.raises(ValueError):
         integrate(cfg, s, t_end=1.0, rel_tol=0.5)
+    for t_end in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            integrate(cfg, s, t_end=t_end, rel_tol=1e-8, max_steps=10)
     bad = state_from_entries(cfg, {(1, 0): 1.0})
     bad.X[0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -132,3 +135,17 @@ def test_non_increasing_times_rejected():
     with pytest.raises(ValueError):
         CascadeTrajectory.from_arrays(np.array([0.0, 0.1, 0.2]), X,
                                       "blowup_detected")
+
+
+@pytest.mark.parametrize("kappa, status", [(0.0, "blowup_detected"),
+                                           (0.5, "completed")])
+def test_guard_ratio_is_final_over_initial_weighted_norm(kappa, status):
+    cfg = builtin_dyadic_config(2.0, 1.0, (0, 7), kappa=kappa)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=2.0, rel_tol=1e-8, guard_factor=1e3)
+    assert traj.status == status
+    X = traj.state_array()
+    norm = cfg.compiled_rhs.weighted_norm
+    ratio = traj.integrator_stats["guard_ratio"]
+    assert ratio == norm(X[-1]) / norm(X[0])
+    assert (ratio > 1e3) == (status == "blowup_detected")

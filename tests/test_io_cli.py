@@ -321,10 +321,14 @@ class TestCLI:
         assert by_level[3]["vitali_count"] >= 1
 
 
-def _simulate_with(integrator):
+def _simulate_with(integrator, t_end="0.01", kappa=None):
+    """Simulate argv; ``kappa`` is written as raw JSON text when given."""
     def argv(tmp_path):
         config = write_config(tmp_path / "c.json", integrator=integrator)
-        return ["simulate", "--config", str(config), "--t-end", "0.01",
+        if kappa is not None:
+            config.write_text(config.read_text().replace(
+                '"kappa": 1.0', f'"kappa": {kappa}'))
+        return ["simulate", "--config", str(config), "--t-end", t_end,
                 "--out", str(tmp_path / "traj.csv")]
     return argv
 
@@ -388,6 +392,14 @@ MALFORMED_INPUT = [
     pytest.param(_synthesize_without("n_min"), 2,
                  id="trajectory-sidecar-without-n-min"),
     pytest.param(_analyze_with(untagged=1), 2, id="snapshot-without-time"),
+    pytest.param(_simulate_with({}, kappa="NaN"), 2, id="config-nan-literal"),
+    pytest.param(_analyze_with({"K_threshold": float("inf")}), 2,
+                 id="params-infinity-literal"),
+    pytest.param(_simulate_with({}, kappa="1e400"), 1,
+                 id="config-float-overflow"),
+    pytest.param(_simulate_with({}, t_end="nan"), 1, id="t-end-nan"),
+    pytest.param(_simulate_with({"max_steps": 1000}, t_end="inf"), 1,
+                 id="t-end-inf"),
 ]
 
 
@@ -401,6 +413,30 @@ def test_malformed_input_exits_without_traceback(tmp_path, make_argv, code):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_pipeline_writes_standard_json(tmp_path):
+    config = write_config(tmp_path / "c.json", kappa=1.0,
+                          integrator={"initial": {"X_1_0": 0.8, "X_2_1": -0.3}})
+    traj = tmp_path / "sim" / "traj.csv"
+    snaps = tmp_path / "snaps"
+    report = tmp_path / "analysis" / "report.json"
+    assert main(["simulate", "--config", str(config), "--t-end", "0.02",
+                 "--out", str(traj)]) == 0
+    assert main(["synthesize", "--trajectory", str(traj), "--basis-config",
+                 str(write_basis_config(tmp_path / "basis.json")),
+                 "--times", "0.004,0.01,0.016", "--out-dir", str(snaps)]) == 0
+    assert main(["analyze", "--snapshots", str(snaps), "--params",
+                 str(write_params(tmp_path / "params.json")),
+                 "--out", str(report)]) == 0
+    outputs = sorted(tmp_path.glob("*/*.json"))
+    assert len(outputs) == 2 + 4 + 2  # per stage: sidecars and a manifest
+    for path in outputs:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 class TestManifest:

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
-from cascadelab.grid import (inner, l2_norm, mean_integral,
+from cascadelab.grid import (GridField, inner, l2_norm, mean_integral,
                              spectral_divergence, spectral_gradient_norm)
 from cascadelab.wavelets import (BallGeometry, BasisGeometryError,
-                                 UnresolvedShellError, build_wavelet_basis,
-                                 project_coefficients, synthesize_field)
+                                 UnresolvedShellError, _polarization,
+                                 build_wavelet_basis, project_coefficients,
+                                 radial_bump, synthesize_field)
 
 
 @pytest.fixture(scope="module")
 def basis32():
     return build_wavelet_basis(2.0, 32, n_window=(0, 1), base_scale=4.0)
+
+
+@pytest.fixture(scope="module")
+def basis64():
+    return build_wavelet_basis(2.0, 64, n_window=(0, 2), base_scale=4.0)
 
 
 def materialize_shell(basis, i, n):
@@ -134,3 +140,91 @@ class TestSynthesis:
         assert u.time_tag == 0.3
         rec = project_coefficients(u, basis32)
         assert np.max(np.abs(rec - state.X)) < 1e-12
+
+
+def shell_spectrum(basis, key):
+    spec = basis.empty_spectrum()
+    sh = basis.shells[key]
+    spec[:, sh.flat_idx] = sh.amp
+    return spec
+
+
+def brute_force_shell(basis, i, n):
+    """(flat_idx, amp, snap_offset) of shell (i, n) from a scan of every
+    grid mode, written from the module docstring."""
+    n_grid, geo = basis.n_grid, basis.geometry
+    k = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
+    gx, gy, gz = np.meshgrid(k, k, k, indexing="ij")
+    fx, fy, fz = (g / basis.base_scale for g in (gx, gy, gz))
+    center = geo.centers()[i - 1] * basis.lam ** n
+    radius = geo.ball_radius * basis.lam ** n
+    dist = np.sqrt((fx - center[0]) ** 2 + (fy - center[1]) ** 2
+                   + (fz - center[2]) ** 2)
+    mask = dist < radius * (1.0 - 1e-12)
+    pol = _polarization(geo.directions[i - 1])
+    xi = np.stack([fx[mask], fy[mask], fz[mask]])
+    amp = radial_bump(dist[mask] / radius) * (
+        pol[:, None] - xi * (np.einsum("c,cm->m", pol, xi)
+                             / np.sum(xi ** 2, axis=0)))
+    ix, iy, iz = np.nonzero(mask)
+    mirror = ((-ix % n_grid) * n_grid + (-iy % n_grid)) * n_grid + (-iz % n_grid)
+    flat_idx = np.concatenate([np.flatnonzero(mask), mirror])
+    amp = np.concatenate([amp, amp], axis=1)
+    norm = np.sqrt(np.sum(amp ** 2) * basis.box_size ** 3 / n_grid ** 6)
+    return flat_idx, amp / norm, float(np.min(dist) / radius)
+
+
+class TestRealTransforms:
+    @pytest.mark.parametrize("name", ["basis32", "basis64"])
+    def test_materialize_matches_complex_inverse(self, name, request):
+        basis = request.getfixturevalue(name)
+        n = basis.n_grid
+        for key in basis.shells:
+            spec = shell_spectrum(basis, key)
+            ref = np.fft.ifftn(spec.reshape(3, n, n, n), axes=(1, 2, 3)).real
+            got = basis.materialize(spec).data
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_projection_matches_complex_transform(self, basis64):
+        n = basis64.n_grid
+        rng = np.random.default_rng(11)
+        noise = GridField(rng.normal(size=(3, n, n, n)), basis64.box_size)
+        fld = noise.like(noise.data + synthesize_field(
+            rng.normal(size=(4, 3)), basis64).data)
+        hat = np.fft.fftn(fld.data, axes=(1, 2, 3)).reshape(3, -1)
+        weight = basis64.box_size ** 3 / n ** 6
+        ref = np.zeros((4, 3))
+        for (i, shell_n), sh in basis64.shells.items():
+            ref[i - 1, shell_n] = np.sum(hat[:, sh.flat_idx] * sh.amp).real * weight
+        got = project_coefficients(fld, basis64)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["basis32", "basis64"])
+    def test_box_scan_equals_full_grid_scan(self, name, request):
+        basis = request.getfixturevalue(name)
+        for (i, n), sh in basis.shells.items():
+            flat_idx, amp, snap = brute_force_shell(basis, i, n)
+            assert np.array_equal(sh.flat_idx, flat_idx)
+            assert np.array_equal(sh.amp, amp)
+            assert sh.snap_offset == snap
+
+    def test_profiles_built_on_first_read(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                     "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+            def counted(*args, _f=getattr(np.fft, name), **kwargs):
+                calls.append(_f)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        basis = build_wavelet_basis(2.0, 32, n_window=(0, 1), base_scale=4.0)
+        assert calls == []
+        psi = basis.psi
+        assert len(calls) == 4
+        assert basis.psi is psi
+        for i, fld in enumerate(psi, start=1):
+            ref = basis.materialize(shell_spectrum(basis, (i, basis.profile_shell)))
+            assert np.array_equal(fld.data, ref.data)
+
+    def test_grid_side_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            build_wavelet_basis(2.0, 48, n_window=(0, 1), base_scale=4.0)
