@@ -20,9 +20,9 @@ simulate -> synthesize -> analyze.
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                       builtin_dyadic_config, cascade_rhs,
                       energy_balance_residual, nonlinear_energy_flux,
-                      rescale_trajectory, shell_energy, state_from_entries,
+                      rescale_trajectory, state_from_entries,
                       timescale_ratio, total_energy)
-from .cubes import (BumpProfile, CubeId, LevelResolutionError, bump_function,
+from .cubes import (BumpProfile, CubeId, LevelResolutionError,
                     cube_hierarchy, nuclear_family, vitali_cover)
 from .grid import GridField, plane_wave, zero_field
 from .integrate import integrate, rk4_fixed_step
@@ -30,9 +30,7 @@ from .operator import apply_cascade_operator, paraproduct_split
 from .potentials import NonzeroMomentumError, divergence_potential
 from .regularity import (CoefficientCache, CoveringReport, CubeRecord,
                          RegularityParams, analyze_snapshots,
-                         badness_functional, classify_level,
-                         dimension_estimate, local_dissipation_check,
-                         wavelet_coefficient)
+                         dimension_estimate, local_dissipation_check)
 from .spectral import (BandRangeError, LPPartition, fractional_laplacian,
                        leray_project, lp_project)
 from .tensor import (CoefficientTensor, TensorKeyError, ValidationReport,
@@ -40,7 +38,7 @@ from .tensor import (CoefficientTensor, TensorKeyError, ValidationReport,
                      validate_tensor)
 from .wavelets import (BasisGeometryError, UnresolvedShellError, WaveletBasis,
                        build_wavelet_basis, project_coefficients,
-                       synthesize_field, synthesize_state)
+                       synthesize_field)
 
 __version__ = "0.1.0"
 

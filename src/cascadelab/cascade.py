@@ -226,10 +226,6 @@ def total_energy(state: CascadeState) -> float:
     return 0.5 * float(np.sum(state.X ** 2))
 
 
-def shell_energy(state: CascadeState, i: int, n: int, config: CascadeConfig) -> float:
-    return 0.5 * float(state.X[i - 1, n - config.n_min] ** 2)
-
-
 def energy_balance_residual(trajectory: CascadeTrajectory,
                             config: CascadeConfig) -> np.ndarray:
     """Pointwise defect of the energy dissipation balance at interior samples.

@@ -195,16 +195,6 @@ class BumpProfile:
         return np.einsum("i,j,k->ijk", gx, gy, gz)
 
 
-def bump_function(cube: CubeId, n_grid: int, type_j: int | None = None,
-                  box_size: float = 2.0 * np.pi):
-    """Sampled cutoff as a scalar GridField plus its analytic profile."""
-    from .grid import GridField
-    profile = BumpProfile(cube, n_grid, type_j)
-    fld = GridField(profile.sample()[None], box_size)
-    fld.meta["margin_cells"] = profile.margin
-    return fld, profile
-
-
 # ---------------------------------------------------------------------------
 # nuclear families
 

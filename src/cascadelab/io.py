@@ -20,7 +20,7 @@ import numpy as np
 
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                       N_SPECIES, state_from_entries)
-from .grid import GridField
+from .grid import GridField, _is_power_of_two
 from .integrate import CONTROLS, check_controls
 from .tensor import CoefficientTensor
 
@@ -256,27 +256,54 @@ _SNAPSHOT_FIELDS = {"n_grid": (int,), "components": (int,),
                     "box_size": (int, float), "time": (int, float, type(None))}
 
 
-def load_snapshot(path_base) -> GridField:
-    """Snapshot from ``<path_base>.json`` and ``.raw``; a malformed file or
-    a sidecar field missing or of the wrong type is an InputError."""
+@dataclass(frozen=True)
+class SnapshotFile:
+    """A snapshot known from its checked sidecar; ``load`` reads the samples."""
+
+    base: str
+    n_grid: int
+    time_tag: float | None
+    sidecar: dict
+
+    def load(self) -> GridField:
+        return load_snapshot(self)
+
+
+def read_snapshot_header(path_base) -> SnapshotFile:
+    """Sidecar ``<path_base>.json``; a malformed file, a field missing or of
+    the wrong type, or an ``n_grid`` no field has is an InputError."""
     doc = load_json(str(path_base) + ".json", SCHEMA_SNAPSHOT)
     for key, kinds in _SNAPSHOT_FIELDS.items():
         if not _typed(doc.get(key), kinds):
             raise InputError(f"{path_base}.json: {key} is missing or of "
                              f"the wrong type ({doc.get(key)!r})")
-    n, comps, time_tag = doc["n_grid"], doc["components"], doc.get("time")
+    if not _is_power_of_two(doc["n_grid"]):
+        raise InputError(f"{path_base}.json: n_grid must be a power of two")
     try:
-        data = np.fromfile(str(path_base) + ".raw", dtype="<f8")
+        time_tag = None if doc.get("time") is None else float(doc["time"])
+    except OverflowError as exc:
+        raise DomainError(f"{path_base}.json: time: {exc}") from exc
+    return SnapshotFile(str(path_base), doc["n_grid"], time_tag, doc)
+
+
+def load_snapshot(source) -> GridField:
+    """Snapshot from a path base (``<base>.json`` and ``.raw``) or its
+    :class:`SnapshotFile`; samples not filling the grid are an InputError."""
+    snap = (source if isinstance(source, SnapshotFile)
+            else read_snapshot_header(source))
+    n, comps = snap.n_grid, snap.sidecar["components"]
+    try:
+        data = np.fromfile(snap.base + ".raw", dtype="<f8")
     except OSError as exc:
-        raise InputError(f"cannot read {path_base}.raw: {exc}") from exc
+        raise InputError(f"cannot read {snap.base}.raw: {exc}") from exc
     if data.size != comps * n ** 3:
-        raise InputError(f"{path_base}.raw: size does not match the sidecar")
+        raise InputError(f"{snap.base}.raw: size does not match the sidecar")
     try:
         fld = GridField(data.reshape(comps, n, n, n),
-                        float(doc["box_size"]), time_tag)
+                        float(snap.sidecar["box_size"]), snap.time_tag)
     except (ValueError, OverflowError) as exc:
-        raise InputError(f"{path_base}: {exc}") from exc
-    fld.meta["basis_id"] = doc.get("basis_id", "")
+        raise InputError(f"{snap.base}: {exc}") from exc
+    fld.meta["basis_id"] = snap.sidecar.get("basis_id", "")
     return fld
 
 

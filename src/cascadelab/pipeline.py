@@ -183,9 +183,10 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     params, doc = load_regularity_params(params_path)
     levels = doc.get("levels", [2, 3, 4, 5])
     if not isinstance(levels, list) or not all(
-            isinstance(j, int) and not isinstance(j, bool) for j in levels):
-        raise iomod.InputError(
-            f"{params_path}: levels must be a list of integers, got {levels!r}")
+            isinstance(j, int) and not isinstance(j, bool) for j in levels) or (
+            len(set(levels)) != len(levels)):
+        raise iomod.InputError(f"{params_path}: levels must be a list of "
+                               f"distinct integers, got {levels!r}")
 
     bases = sorted(
         os.path.join(snapshot_dir, name[:-5])
@@ -194,11 +195,18 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     if len(bases) < 3:
         raise iomod.DomainError(
             f"need at least 3 snapshots in {snapshot_dir}, found {len(bases)}")
-    snapshots = [iomod.load_snapshot(base) for base in bases]
-    for base, fld in zip(bases, snapshots):
-        if fld.time_tag is None:
-            raise iomod.InputError(f"{base}.json: snapshot has no time tag")
-    snapshots.sort(key=lambda f: f.time_tag)
+    # sidecars only: each .raw file is read once, inside the analysis pass
+    snapshots = [iomod.read_snapshot_header(base) for base in bases]
+    for snap in snapshots:
+        if snap.time_tag is None:
+            raise iomod.InputError(f"{snap.base}.json: snapshot has no time tag")
+    snapshots.sort(key=lambda snap: snap.time_tag)
+    for a, b in zip(snapshots, snapshots[1:]):
+        if a.time_tag == b.time_tag or a.n_grid != b.n_grid:
+            raise iomod.InputError(
+                f"{a.base}.json and {b.base}.json: snapshots need distinct "
+                f"times and one grid, got times {a.time_tag!r} and "
+                f"{b.time_tag!r}, n_grid {a.n_grid} and {b.n_grid}")
 
     report = analyze_snapshots(snapshots, params, levels)
 

@@ -19,11 +19,13 @@ where ``N^L(Q)`` is the nuclear family and the proof-scale constants
 desk-scale defaults.  Raw (lhs, threshold) pairs are always reported so a
 different K needs no recomputation.
 
-Cube sums separate by axis, so a level is classified at once: each
-snapshot is FFT'd once (real transform) for all its band densities, and
-coefficient tables and family energies are per-axis contractions, the
-latter with :func:`~cascadelab.cubes.family_matrices` (checked against
-the reference enumeration :func:`~cascadelab.cubes.nuclear_family`).
+Cube sums separate by axis, so a level is classified at once: coefficient
+tables and family energies are per-axis contractions, the latter with
+:func:`~cascadelab.cubes.family_matrices` (checked against the reference
+enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table the
+requested levels need is computed in one pass over the snapshots, each
+read and FFT'd once (real transform), with one band density in memory
+at a time.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import (COARSEST_LEVEL, VITALI_DILATION, BumpProfile, CubeId,
-                    LevelResolutionError, covering_count, cube_hierarchy,
-                    family_matrices, level_geometry, vitali_cover)
+from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
+                    covering_count, cube_hierarchy, family_matrices,
+                    level_geometry, vitali_cover)
 from .grid import GridField, apply_symbol, wave_magnitude
 from .spectral import LPPartition, fractional_symbol
 
@@ -49,25 +51,6 @@ def mode_partition(n_grid: int) -> LPPartition:
 
 def mode_radii(n_grid: int) -> np.ndarray:
     return wave_magnitude(n_grid, 2.0 * np.pi)
-
-
-def band_project(fld: GridField, k: int,
-                 partition: LPPartition | None = None) -> GridField:
-    """Band projection on box-relative frequencies (mode units)."""
-    if partition is None:
-        partition = mode_partition(fld.n_grid)
-    partition.check(k)
-    sym = partition.symbol(k, mode_radii(fld.n_grid))
-    return apply_symbol(fld, sym)
-
-
-def wavelet_coefficient(fld: GridField, cube: CubeId, j: int,
-                        partition: LPPartition | None = None) -> float:
-    """Cube coefficient ``|| phi_{Q,j} P_j u ||_2`` (grid quadrature)."""
-    proj = band_project(fld, j, partition)
-    phi = BumpProfile(cube, fld.n_grid, type_j=j).sample()
-    mag_sq = np.sum(proj.data ** 2, axis=0)
-    return float(np.sqrt(np.sum(phi ** 2 * mag_sq) * fld.cell_volume))
 
 
 @dataclass
@@ -140,10 +123,12 @@ class CoefficientCache:
     ``table(s, level, band)`` returns the array (lattice-shaped) of
     ``|| phi_{Q,level} P_band u(t_s) ||_2`` over all level cubes.  Bands
     beyond the resolvable range give zeros and are recorded in
-    ``unresolved_bands``.
+    ``unresolved_bands``.  Snapshots are fields, or files read only in
+    :meth:`fill` (:class:`~cascadelab.io.SnapshotFile`); ``stats`` counts
+    the reads, FFTs and tables of the fills.
     """
 
-    def __init__(self, snapshots: list[GridField], epsilon: float):
+    def __init__(self, snapshots, epsilon: float):
         if not snapshots:
             raise ValueError("need at least one snapshot")
         times = [s.time_tag for s in snapshots]
@@ -159,31 +144,54 @@ class CoefficientCache:
         self.times = np.array(times, dtype=float)
         self.partition = mode_partition(self.n_grid)
         self.unresolved_bands: set[int] = set()
-        self._band_sq: dict[tuple[int, int], np.ndarray] = {}
+        self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
+                                    "band_inverses", "tables_filled"), 0)
         self._symbols: dict[int, np.ndarray] = {}
-        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._weights: dict[int, np.ndarray] = {}
         self._family_sq: dict[tuple[int, int], np.ndarray] = {}
 
-    def band_energy_density(self, s: int, k: int) -> np.ndarray:
-        """Pointwise ``|P_k u(t_s)|^2``.
+    def fill(self, pairs) -> None:
+        """Missing (level, band) tables in one pass: each snapshot is read and
+        FFT'd once, each band density contracted into its tables and dropped."""
+        tables, needed = {}, {}
+        for level, band in sorted(set(pairs) - self._tables.keys()):
+            m = len(self._axis_weights(level))
+            tables[level, band] = np.zeros((len(self.snapshots), m, m, m))
+            if self.partition.j_min <= band <= self.partition.j_max:
+                needed.setdefault(band, []).append(level)
+            else:
+                self.unresolved_bands.add(band)
+        if needed:
+            for s in range(len(self.snapshots)):
+                self._fill_from_snapshot(s, needed, tables)
+        self.stats["tables_filled"] += len(tables) * len(self.snapshots)
+        self._tables.update(tables)
 
-        The first request for snapshot s transforms it once with a real
-        FFT and fills every band from ``COARSEST_LEVEL`` (or k, if lower)
-        to the top band from that spectrum, which is then dropped.
-        """
-        if (s, k) not in self._band_sq:
-            self.partition.check(k)
-            spectrum = np.fft.rfftn(self.snapshots[s].data, axes=(1, 2, 3))
-            for band in range(min(k, COARSEST_LEVEL), self.partition.j_max + 1):
-                symbol = self._half_symbol(band)
-                # irfftn, in place and without the columns where the band is zero
-                proj = spectrum[..., :symbol.shape[-1]] * symbol
-                np.fft.ifft(proj, axis=1, out=proj)
-                np.fft.ifft(proj, axis=2, out=proj)
-                proj = np.fft.irfft(proj, n=self.n_grid, axis=3)
-                self._band_sq[s, band] = np.sum(np.square(proj, out=proj), axis=0)
-        return self._band_sq[s, k]
+    def _fill_from_snapshot(self, s: int, needed: dict, tables: dict):
+        fld = self.snapshots[s]
+        fld = fld if isinstance(fld, GridField) else fld.load()
+        spectrum = np.fft.rfftn(fld.data, axes=(1, 2, 3))
+        cell_volume = fld.cell_volume
+        del fld  # one field at a time
+        self.stats["snapshots_read"] += 1
+        self.stats["forward_ffts"] += 1
+        for band, levels in needed.items():
+            density = self.band_energy_density(spectrum, band)
+            for level in levels:
+                energy = _separable_sum(self._axis_weights(level), density)
+                tables[level, band][s] = np.sqrt(energy * cell_volume)
+
+    def band_energy_density(self, spectrum: np.ndarray, band: int) -> np.ndarray:
+        """Pointwise ``|P_band u|^2`` from the real-FFT spectrum of a snapshot."""
+        symbol = self._half_symbol(band)
+        # irfftn, in place and without the columns where the band is zero
+        proj = spectrum[..., :symbol.shape[-1]] * symbol
+        np.fft.ifft(proj, axis=1, out=proj)
+        np.fft.ifft(proj, axis=2, out=proj)
+        proj = np.fft.irfft(proj, n=self.n_grid, axis=3)
+        self.stats["band_inverses"] += 1
+        return np.sum(np.square(proj, out=proj), axis=0)
 
     def _half_symbol(self, band: int) -> np.ndarray:
         """Band symbol on the real-FFT half spectrum, up to its last nonzero column."""
@@ -206,16 +214,18 @@ class CoefficientCache:
         return self._weights[level]
 
     def table(self, s: int, level: int, band: int) -> np.ndarray:
-        key = (s, level, band)
-        if key not in self._tables:
-            weights = self._axis_weights(level)
-            if self.partition.j_min <= band <= self.partition.j_max:
-                energy = _separable_sum(weights, self.band_energy_density(s, band))
-                self._tables[key] = np.sqrt(energy * self.snapshots[s].cell_volume)
-            else:
-                self.unresolved_bands.add(band)
-                self._tables[key] = np.zeros((len(weights),) * 3)
-        return self._tables[key]
+        self.fill([(level, band)])
+        return self._tables[level, band][s]
+
+    def level_pairs(self, level: int, depth: int) -> set[tuple[int, int]]:
+        """(level, band) tables classifying ``level`` reads: bands ``level`` and
+        up, and (l, l) per nuclear-family level l; none if unresolvable."""
+        try:
+            members = family_matrices(level, depth, self.epsilon, self.n_grid)
+        except LevelResolutionError:
+            return set()
+        bands = range(level, self.partition.j_max + 1)
+        return {(level, k) for k in bands} | {(l, l) for l in members}
 
     def family_sq(self, level: int, depth: int) -> np.ndarray:
         """Nuclear-family energy ``sum_{N^depth(Q)} u_{Q'}^2`` of every level cube.
@@ -226,19 +236,16 @@ class CoefficientCache:
         """
         key = (level, depth)
         if key not in self._family_sq:
+            members = family_matrices(level, depth, self.epsilon, self.n_grid)
+            self.fill((l, l) for l in members)
             total = 0.0
-            for level_l, member in family_matrices(
-                    level, depth, self.epsilon, self.n_grid).items():
+            for level_l, member in members.items():
                 member = member.astype(float)
                 total = total + np.array([
                     _separable_sum(member, self.table(s, level_l, level_l) ** 2)
                     for s in range(len(self.snapshots))])
             self._family_sq[key] = total
         return self._family_sq[key]
-
-    def family_sq_series(self, cube: CubeId, depth: int) -> np.ndarray:
-        """Time series of the nuclear-family energy ``sum u_{Q'}^2`` of one cube."""
-        return self.family_sq(cube.j, depth)[(slice(None),) + cube.corner]
 
 
 def _separable_sum(weights: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -290,6 +297,7 @@ def _level_badness(cache: CoefficientCache, j: int,
     when the window fits the sampled span, so astronomically narrow windows
     degrade gracefully to the terminal value instead of underflowing.
     """
+    cache.fill(cache.level_pairs(j, params.nuclear_depth))
     times = cache.times
     width = params.window_base ** (-params.window_exponent * j)
     term1, clipped = _terminal_window_mean(
@@ -308,17 +316,6 @@ def _level_badness(cache: CoefficientCache, j: int,
     return term1 + term2
 
 
-def badness_functional(snapshots: list[GridField], cube: CubeId,
-                       params: RegularityParams,
-                       cache: CoefficientCache | None = None
-                       ) -> tuple[float, float]:
-    """(lhs, threshold) of the classification inequality for one cube."""
-    if cache is None:
-        cache = CoefficientCache(snapshots, cube.epsilon)
-    lhs = _level_badness(cache, cube.j, params)[cube.corner]
-    return float(lhs), params.threshold(cube.j)
-
-
 def classify_level_records(snapshots: list[GridField], j: int,
                            params: RegularityParams,
                            cache: CoefficientCache | None = None
@@ -329,14 +326,6 @@ def classify_level_records(snapshots: list[GridField], j: int,
     lhs = _level_badness(cache, j, params)
     return [CubeRecord(cube, float(lhs[cube.corner]), params.threshold(j))
             for cube in cubes]
-
-
-def classify_level(snapshots: list[GridField], j: int,
-                   params: RegularityParams,
-                   cache: CoefficientCache | None = None) -> set[CubeId]:
-    """Set M_j of flagged cubes in the level-j tiling."""
-    return {r.cube for r in classify_level_records(snapshots, j, params, cache)
-            if r.verdict == VERDICT_BAD}
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +369,7 @@ class CoveringReport:
     d_est: float | None
     residual: float | None
     notes: list[str] = field(default_factory=list)
+    analysis_stats: dict = field(default_factory=dict)
 
     @property
     def desk_bound(self) -> float:
@@ -398,6 +388,7 @@ class CoveringReport:
             "desk_bound": self.desk_bound,
             "paper_bound": self.reference_bound,
             "notes": list(self.notes),
+            "analysis_stats": dict(self.analysis_stats),
         }
 
 
@@ -417,6 +408,8 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
     """
     if cache is None:
         cache = CoefficientCache(snapshots, params.epsilon)
+    cache.fill(pair for j in levels
+               for pair in cache.level_pairs(j, params.nuclear_depth))
     rows = []
     counts = {}
     notes = []
@@ -440,7 +433,7 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
     except ValueError as exc:
         d_est, residual = None, None
         notes.append(f"dimension estimate unavailable: {exc}")
-    return CoveringReport(params, rows, d_est, residual, notes)
+    return CoveringReport(params, rows, d_est, residual, notes, dict(cache.stats))
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +452,20 @@ def local_dissipation_check(fld: GridField, cube: CubeId, j: int, alpha: float,
     """
     if partition is None:
         partition = mode_partition(fld.n_grid)
+    partition.check(j)
+    band = partition.symbol(j, mode_radii(fld.n_grid))
     phi = BumpProfile(cube, fld.n_grid, type_j=j).sample()
-    proj = band_project(fld, j, partition)
+    proj = apply_symbol(fld, band)
     localized = GridField(phi ** 2 * proj.data, fld.box_size)
-    inner_field = band_project(localized, j, partition)
+    inner_field = apply_symbol(localized, band)
     frac = apply_symbol(fld, fractional_symbol(mode_radii(fld.n_grid), alpha))
     pairing = float(np.sum(frac.data * inner_field.data) * fld.cell_volume)
 
     u_q = float(np.sqrt(np.sum(phi ** 2 * np.sum(proj.data ** 2, axis=0))
                         * fld.cell_volume))
     t1 = 2.0 ** (2.0 * alpha * j) * u_q ** 2
-    snapshot = GridField(fld.data, fld.box_size, 0.0)
-    cache = CoefficientCache([snapshot], cube.epsilon)
-    neighbor = float(cache.family_sq_series(cube, 1)[0])
+    cache = CoefficientCache([GridField(fld.data, fld.box_size, 0.0)], cube.epsilon)
+    neighbor = float(cache.family_sq(cube.j, 1)[(0,) + cube.corner])
     t2 = 2.0 ** ((2.0 * alpha - cube.epsilon) * j) * neighbor
     t3 = 2.0 ** (-100.0 * j)
     return pairing, (t1, t2, t3)

@@ -141,11 +141,3 @@ def leray_project(fld: GridField) -> GridField:
     hat[1] -= ky * kdot * inv
     hat[2] -= kz * kdot * inv
     return ifft_field(hat, fld)
-
-
-def fractional_energy(fld: GridField, alpha: float) -> float:
-    """Homogeneous energy ``sum |xi|**(2 alpha) |u_hat|**2`` (Parseval form)."""
-    weight = fractional_symbol(wave_magnitude(fld.n_grid, fld.box_size), alpha)
-    hat = fft_field(fld)
-    total = float(np.sum(weight * np.sum(np.abs(hat) ** 2, axis=0)))
-    return total * fld.box_size ** 3 / fld.n_grid ** 6

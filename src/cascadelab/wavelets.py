@@ -345,8 +345,3 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
             if x != 0.0:
                 spec[:, sh.flat_idx] += x * sh.amp
     return basis.materialize(spec, time_tag)
-
-
-def synthesize_state(state, basis: WaveletBasis, config) -> GridField:
-    """Synthesize directly from a cascade state and its config window."""
-    return synthesize_field(state.X, basis, n_min=config.n_min, time_tag=state.t)

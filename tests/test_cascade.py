@@ -7,9 +7,8 @@ from cascadelab.cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                                 builtin_dyadic_config, cascade_rhs,
                                 energy_balance_residual, flux_scale,
                                 nonlinear_energy_flux, quadratic_rhs,
-                                rescale_trajectory, shell_energy,
-                                state_from_entries, timescale_ratio,
-                                total_energy)
+                                rescale_trajectory, state_from_entries,
+                                timescale_ratio, total_energy)
 from cascadelab.tensor import CoefficientTensor, random_valid_tensor
 
 
@@ -153,7 +152,7 @@ class TestEnergies:
         cfg = builtin_dyadic_config(2.0, 0.0, (0, 4))
         rng = np.random.default_rng(3)
         s = CascadeState(0.0, rng.normal(size=(4, 5)))
-        parts = sum(shell_energy(s, i, n, cfg)
+        parts = sum(0.5 * float(s.X[i - 1, n - cfg.n_min] ** 2)
                     for i in range(1, 5) for n in range(0, 5))
         assert parts == pytest.approx(total_energy(s), rel=1e-12)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cascadelab.cubes import (BumpProfile, CubeId, LevelResolutionError,
-                              bump_function, cube_hierarchy, cube_side_cells,
+                              cube_hierarchy, cube_side_cells,
                               cubes_intersect, dilated_contains,
                               family_matrices, finest_level, level_geometry,
                               nuclear_family, vitali_cover)
@@ -98,8 +98,8 @@ class TestBumpProfile:
             BumpProfile(CubeId(2, (0, 0, 0), 0.5), 64, type_j=-2)
 
     def test_whole_box_cutoff_is_identity(self):
-        fld, profile = bump_function(CubeId(0, (0, 0, 0), 0.25), 32)
-        assert np.all(fld.data == 1.0)
+        sample = BumpProfile(CubeId(0, (0, 0, 0), 0.25), 32).sample()
+        assert np.all(sample == 1.0)
 
     def test_sample_matches_callable(self):
         cube = CubeId(2, (1, 0, 3), 0.25)

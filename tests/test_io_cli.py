@@ -349,13 +349,13 @@ def _synthesize_without(sidecar_key):
     return argv
 
 
-def _analyze_with(params=None, drop_sidecar_key=None, untagged=None):
+def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
+                  grids=(8, 8, 8)):
     def argv(tmp_path):
         snap_dir = tmp_path / "snaps"
         snap_dir.mkdir()
-        for s in range(3):
-            fld = GridField(np.zeros((3, 8, 8, 8)), 2 * np.pi,
-                            time_tag=None if s == untagged else s / 2.0)
+        for s, (tag, n) in enumerate(zip(tags, grids)):
+            fld = GridField(np.zeros((3, n, n, n)), 2 * np.pi, time_tag=tag)
             base = snap_dir / f"snapshot_{s:04d}"
             sidecar = iomod.save_snapshot(fld, base)[1]
             sidecar.pop(drop_sidecar_key, None)
@@ -391,7 +391,14 @@ MALFORMED_INPUT = [
     pytest.param(_analyze_with({"alpha": "abc"}), 2, id="alpha-not-a-number"),
     pytest.param(_synthesize_without("n_min"), 2,
                  id="trajectory-sidecar-without-n-min"),
-    pytest.param(_analyze_with(untagged=1), 2, id="snapshot-without-time"),
+    pytest.param(_analyze_with(tags=(0.0, None, 1.0)), 2,
+                 id="snapshot-without-time"),
+    pytest.param(_analyze_with(tags=(0.0, 0.5, 0.0)), 2,
+                 id="snapshot-times-repeated"),
+    pytest.param(_analyze_with(grids=(8, 8, 16)), 2, id="snapshot-grids-differ"),
+    pytest.param(_analyze_with({"levels": [2, 2, 3]}), 2, id="levels-repeated"),
+    pytest.param(_analyze_with(tags=(0.0, 0.5, 10 ** 400)), 1,
+                 id="snapshot-time-too-large"),
     pytest.param(_simulate_with({}, kappa="NaN"), 2, id="config-nan-literal"),
     pytest.param(_analyze_with({"K_threshold": float("inf")}), 2,
                  id="params-infinity-literal"),
@@ -413,6 +420,22 @@ def test_malformed_input_exits_without_traceback(tmp_path, make_argv, code):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("setup, named", [
+    pytest.param(_analyze_with(tags=(0.0, 0.5, 0.0)),
+                 ("snapshot_0000", "snapshot_0002"), id="times-repeated"),
+    pytest.param(_analyze_with(grids=(8, 8, 16)),
+                 ("snapshot_0001", "snapshot_0002"), id="grids-differ"),
+])
+def test_analyze_names_conflicting_sidecars_before_reading_samples(
+        tmp_path, capsys, setup, named):
+    argv = setup(tmp_path)
+    for raw in (tmp_path / "snaps").glob("*.raw"):
+        raw.unlink()  # the sidecars alone must reveal the conflict
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(f"{name}.json" in err for name in named), err
 
 
 def _reject_constant(name):

@@ -6,11 +6,11 @@ import pytest
 from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
 from cascadelab.grid import GridField, l2_norm, plane_wave
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
-                                   analyze_snapshots, badness_functional,
-                                   band_project, classify_level,
-                                   classify_level_records, dimension_estimate,
-                                   local_dissipation_check, mode_partition,
-                                   mode_radii, wavelet_coefficient)
+                                   analyze_snapshots, classify_level_records,
+                                   dimension_estimate, local_dissipation_check,
+                                   mode_partition, mode_radii)
+from oracles import (badness_functional, band_project, classify_level,
+                     wavelet_coefficient)
 
 N = 32
 EPS = 0.25

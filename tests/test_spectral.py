@@ -7,8 +7,9 @@ from cascadelab.grid import (GridField, l2_norm, lp_norm, plane_wave,
                              spectral_divergence, spectral_gradient_norm,
                              wave_magnitude, wave_vectors, zero_field)
 from cascadelab.spectral import (BandRangeError, LPPartition, chi_profile,
-                                 fractional_energy, fractional_laplacian,
-                                 leray_project, lp_project, smoothstep)
+                                 fractional_laplacian, leray_project,
+                                 lp_project, smoothstep)
+from oracles import fractional_energy
 
 N, L = 32, 2 * np.pi
 

@@ -133,10 +133,9 @@ class TestSynthesis:
 
     def test_state_based_synthesis(self, basis32):
         from cascadelab.cascade import CascadeConfig, state_from_entries
-        from cascadelab.wavelets import synthesize_state
         cfg = CascadeConfig(lam=2.0, alpha=1.0, n_min=0, n_max=1, kappa=0.0)
         state = state_from_entries(cfg, {(1, 0): 0.7, (3, 1): -0.2}, t=0.3)
-        u = synthesize_state(state, basis32, cfg)
+        u = synthesize_field(state.X, basis32, n_min=cfg.n_min, time_tag=state.t)
         assert u.time_tag == 0.3
         rec = project_coefficients(u, basis32)
         assert np.max(np.abs(rec - state.X)) < 1e-12
