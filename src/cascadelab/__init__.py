@@ -17,29 +17,39 @@ The batch pipeline (``cascadelab`` CLI) chains the layers:
 simulate -> synthesize -> analyze.
 """
 
-from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
-                      builtin_dyadic_config, cascade_rhs,
-                      energy_balance_residual, nonlinear_energy_flux,
-                      rescale_trajectory, state_from_entries,
-                      timescale_ratio, total_energy)
-from .cubes import (BumpProfile, CubeId, LevelResolutionError,
-                    cube_hierarchy, nuclear_family, vitali_cover)
-from .grid import GridField, plane_wave, zero_field
+from importlib import import_module
+
+# bound now, or importing the submodule would leave it under the same name
 from .integrate import integrate, rk4_fixed_step
-from .operator import apply_cascade_operator, paraproduct_split
-from .potentials import NonzeroMomentumError, divergence_potential
-from .regularity import (CoefficientCache, CoveringReport, CubeRecord,
-                         RegularityParams, analyze_snapshots,
-                         dimension_estimate, local_dissipation_check)
-from .spectral import (BandRangeError, LPPartition, fractional_laplacian,
-                       leray_project, lp_project)
-from .tensor import (CoefficientTensor, TensorKeyError, ValidationReport,
-                     dyadic_cascade_tensor, random_valid_tensor,
-                     validate_tensor)
-from .wavelets import (BasisGeometryError, UnresolvedShellError, WaveletBasis,
-                       build_wavelet_basis, project_coefficients,
-                       synthesize_field)
+
+#: submodule -> the public names it defines, each imported on first use
+_EXPORTS = dict(
+    cascade="CascadeConfig CascadeState CascadeTrajectory builtin_dyadic_config cascade_rhs "
+            "energy_balance_residual nonlinear_energy_flux rescale_trajectory "
+            "state_from_entries timescale_ratio total_energy",
+    cubes="BumpProfile CubeId LevelResolutionError cube_hierarchy nuclear_family vitali_cover",
+    grid="GridField plane_wave zero_field",
+    operator="apply_cascade_operator paraproduct_split",
+    potentials="NonzeroMomentumError divergence_potential",
+    regularity="CoefficientCache CoveringReport CubeRecord RegularityParams analyze_snapshots "
+               "dimension_estimate local_dissipation_check",
+    spectral="BandRangeError LPPartition fractional_laplacian leray_project lp_project",
+    tensor="CoefficientTensor TensorKeyError ValidationReport dyadic_cascade_tensor "
+           "random_valid_tensor validate_tensor",
+    wavelets="BasisGeometryError UnresolvedShellError WaveletBasis build_wavelet_basis "
+             "project_coefficients synthesize_field")
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_SOURCE, "integrate", "rk4_fixed_step"])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = import_module(f".{_SOURCE[name]}", __name__)
+    globals()[name] = value = getattr(source, name)
+    return value

@@ -154,11 +154,13 @@ class CompiledRHS:
     """Gather/scatter plan for fast repeated right-hand-side evaluation.
 
     Each kept (entry, base shell) term is compiled, entry by entry and base
-    shells ascending, into flat state indices ``ia, ib`` of its factors and
-    ``io`` of its output, and an amplitude; ``np.bincount`` sums the products
-    per output in that order, as a term-by-term loop would.  States are flat
-    species-major vectors (a (4, n_shells) array is answered in its shape).
-    The plan is also the one home of the dissipation rates and of the blowup
+    shells ascending, into flat state indices ``iab`` of its factors, ``io``
+    of its output, and an amplitude; a decay term ``x_i * 1`` of amplitude
+    ``-rate_i`` per flat index follows these ``n_quadratic`` terms.  From
+    ``xe``, the flat species-major state and a trailing 1, one gather forms
+    ``(amp * x_a) * x_b`` and ``np.bincount`` sums them per output in term
+    order, as a term-by-term loop would (``q + (-r x) == q - r x``).  The
+    plan is also the one home of the dissipation rates and of the blowup
     guard's norm ``sum lam**(2n) X**2``, both stored flat.
     """
 
@@ -172,35 +174,36 @@ class CompiledRHS:
             base = np.arange(n_min, n_max - max(m1, m2, m3) + 1)
             terms.append([(i - 1) * n + m + base - n_min for i, m in
                           ((i1, m1), (i2, m2), (i3, m3))] + [a * lam ** (2.5 * base)])
+        self.n_quadratic = sum(len(t[3]) for t in terms)
+        flat = np.arange(self.rates.size)
+        terms.append([flat, np.full_like(flat, flat.size), flat, -self.rates])
         ia, ib, io, self.amp = np.concatenate(terms, axis=1)
-        self.ia, self.ib, self.io = (v.astype(np.intp) for v in (ia, ib, io))
+        self.iab, self.io = np.stack([ia, ib]).astype(np.intp), io.astype(np.intp)
 
-    def quadratic(self, flat: np.ndarray) -> np.ndarray:
-        if not self.amp.size:  # bincount without weights counts in integers
-            return np.zeros_like(flat)
-        return np.bincount(self.io, self.amp * flat[self.ia] * flat[self.ib],
-                           len(flat))
+    def evaluate(self, xe: np.ndarray, n_terms: int | None = None) -> np.ndarray:
+        """Sum of the terms (the first ``n_terms`` if given) at ``xe = [x, 1]``."""
+        iab, amp, io = self.iab, self.amp, self.io
+        if n_terms is not None:
+            iab, amp, io = iab[:, :n_terms], amp[:n_terms], io[:n_terms]
+        g = xe[iab]
+        p = amp * g[0]
+        p *= g[1]
+        return np.bincount(io, p, len(xe) - 1)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        flat = y.ravel()
-        deriv = self.quadratic(flat)
-        deriv -= self.rates * flat
+        deriv = self.evaluate(np.concatenate((y.ravel(), (1.0,))))
         return deriv if y.ndim == 1 else deriv.reshape(y.shape)
 
     def weighted_norm(self, y: np.ndarray) -> float:
-        return float(np.sum(self.guard_weights * y.ravel() ** 2))
+        return float((self.guard_weights * y.ravel()) @ y.ravel())
 
 
 def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
-    """Quadratic part of the shell derivative with group-safe truncation.
-
-    A (entry, base shell) term is kept only when all three referenced
-    shells lie inside the window; the referenced shell set is invariant
-    under slot permutation, so whole cancellation groups are kept or
-    dropped together and the cubic flux of the result is exactly zero
-    for valid tensors.
-    """
-    return config.compiled_rhs.quadratic(state.X.ravel()).reshape(state.X.shape)
+    """Quadratic part of the shell derivative with group-safe truncation
+    (see the module docstring): zero cubic flux for valid tensors."""
+    plan = config.compiled_rhs  # astype: bincount of no terms counts in integers
+    quad = plan.evaluate(np.append(state.X, 1.0), plan.n_quadratic)
+    return quad.reshape(state.X.shape).astype(float, copy=False)
 
 
 def cascade_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:

@@ -5,25 +5,19 @@ first-same-as-last optimization.  Integration is single-threaded and fully
 deterministic: identical config, initial state, and tolerances give a
 bit-identical trajectory.
 
-Termination is threefold:
-
-* ``completed``        -- reached ``t_end``;
-* ``blowup_detected``  -- the energy-weighted norm ``sum lam**(2n) X**2``
-                          crossed its guard (``guard_factor`` times the
-                          initial value), or the step size contracted below
-                          ``h_min`` with the norm already above the guard.
-                          On a finite window the guard crossing is the
-                          detection event proper: truncation caps the norm
-                          at ``lam**(2 n_max)`` times the conserved energy,
-                          so waiting for a literal divergence would instead
-                          stall in stiff terminal dynamics;
-* ``step_underflow``   -- the step size collapsed while the norm stayed
-                          below the guard, i.e. stiffness rather than a
-                          blowup surrogate.
+The run stops at ``t_end`` (``completed``), when the energy-weighted norm
+``sum lam**(2n) X**2`` crosses its guard (``guard_factor`` times the
+initial value), when the step falls below ``h_min``, or after ``max_steps``
+steps.  An early stop is ``blowup_detected`` if the norm is above the guard
+and ``step_underflow`` (stiffness, not a blowup surrogate) otherwise.  On a
+finite window the guard crossing is the detection event proper: truncation
+caps the norm at ``lam**(2 n_max)`` times the conserved energy, so waiting
+for a literal divergence would instead stall in stiff terminal dynamics.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -31,18 +25,17 @@ import numpy as np
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory, N_SPECIES,
                       STATUS_BLOWUP, STATUS_COMPLETED, STATUS_UNDERFLOW)
 
-# Dormand-Prince 5(4) tableau (row-padded stage matrix)
-_A = np.zeros((7, 7))
-_A[1, :1] = [1 / 5]
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40])
-_STAGES = [_A[stage, :stage] for stage in range(1, 7)]
+# Dormand-Prince 5(4) tableau: stage rows, 5th-order weights, error weights
+_TABLEAU = np.zeros((9, 7))
+_TABLEAU[1, :1] = [1 / 5]
+_TABLEAU[2, :2] = [3 / 40, 9 / 40]
+_TABLEAU[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_TABLEAU[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_TABLEAU[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_TABLEAU[6, :6] = _TABLEAU[7, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192,
+                                     -2187 / 6784, 11 / 84]
+_TABLEAU[8] = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40]
 
 _ORDER = 5  # of the propagated solution
 
@@ -65,23 +58,17 @@ def check_controls(**controls):
             raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
-def _stop_status(plan, X: np.ndarray, guard: float) -> str:
-    """Outcome of a stop before ``t_end``: blowup when the guard is crossed."""
-    return STATUS_BLOWUP if plan.weighted_norm(X) > guard else STATUS_UNDERFLOW
-
-
 def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
               rel_tol: float = 1e-8, *, h_min: float = 1e-13,
               guard_factor: float = 1e12, max_steps: int = 5_000_000
               ) -> CascadeTrajectory:
     """Integrate the cascade ODE from ``initial`` toward ``t_end``.
 
-    The flat state goes to the compiled plan as is, and accepted states
-    fill time and state buffers that double when full.  ``integrator_stats``
-    counts accepted and rejected steps and RHS evaluations, gives the
-    smallest and largest accepted step (None if no step was accepted), and
-    gives ``guard_ratio``, the final energy-weighted norm over the initial
-    one (the guard's reference; None if the final norm overflows).
+    ``integrator_stats`` counts accepted and rejected steps and RHS
+    evaluations, gives the smallest and largest accepted step (None if no
+    step was accepted), ``guard_ratio``, the final energy-weighted norm
+    over the initial one (None if it overflows), and ``stop_reason``:
+    ``t_end``, ``guard``, ``h_min`` or ``max_steps``.
 
     Parameters
     ----------
@@ -90,11 +77,9 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
         absolute error floor is ``rel_tol * 1e-3`` times the initial
         amplitude scale.
     h_min : float
-        Step size below which integration stops and the outcome is
-        classified as blowup or underflow.
+        Step size below which integration stops.
     guard_factor : float
-        Blowup guard on the energy-weighted norm, relative to its initial
-        value.
+        Blowup guard on the energy-weighted norm, relative to its initial value.
     """
     check_controls(rel_tol=rel_tol, h_min=h_min, guard_factor=guard_factor,
                    max_steps=max_steps)
@@ -108,59 +93,71 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
         raise ValueError("initial state shape does not match the config window")
 
     plan = config.compiled_rhs
-    y = initial.X.astype(float).ravel().copy()
+    size = initial.X.size
     t = float(initial.t)
+    # K: y and the seven stage derivatives; C: the tableau times h behind a
+    # column of ones (zero in the error row).  Stage s's input is one product
+    # C[s, :s+1] @ K[:s+1], and y_new and the error are one C[7:] @ K.
+    K = np.empty((8, size))
+    xe = np.ones(size + 1)  # the plan's extended state [x, 1]
+    y, x = K[0], xe[:size]
+    y[:] = x[:] = initial.X.ravel()
+    K[1] = plan.evaluate(xe)
+    C = np.zeros((9, 8))
+    C[:8, 0] = 1.0
+    coef, out_rows = C[:, 1:], C[7:]
+    stages = [(C[s, :s + 1], K[:s + 1]) for s in range(1, 7)]
+    y_new, delta = out = np.empty((2, size))
+
     scale0 = max(float(np.max(np.abs(y))), 1e-30)
     atol = rel_tol * 1e-3 * scale0
     norm0 = max(plan.weighted_norm(y), 1e-30)
     guard = guard_factor * norm0
-
-    k = np.empty((7, y.size))
-    k[0] = plan(y)
     # standard magnitude-based starting guess, clipped to the span
     sc = atol + rel_tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((k[0] / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((K[1] / sc) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
     h = min(max(h, 1e-12), t_end - t)
 
-    times, states = np.empty(1024), np.empty((1024, y.size))
+    times, states = np.empty(1024), np.empty((1024, size))
     times[0], states[0] = t, y
     n = 1
     err_prev = 1.0
     steps = rejected = 0
-    h_lo, h_hi = np.inf, 0.0
-    status = STATUS_COMPLETED
+    h_lo, h_hi = math.inf, 0.0
+    reason = "t_end"
 
     while t < t_end:
         if steps >= max_steps:
-            status = _stop_status(plan, y, guard)
+            reason = "max_steps"
             break
         steps += 1
         h = min(h, t_end - t)
-        for stage, row in enumerate(_STAGES, 1):
-            k[stage] = plan(y + h * (row @ k[:stage]))
-        y_new = y + h * (_B5 @ k)
-        delta = h * (_ERR @ k)
+        np.multiply(_TABLEAU, h, out=coef)
+        for s, (row, ks) in enumerate(stages, 2):
+            np.dot(row, ks, out=x)
+            K[s] = plan.evaluate(xe)
+        np.matmul(out_rows, K, out=out)
 
-        if np.all(np.isfinite(y_new)):
-            scale = atol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((delta / scale) ** 2)))
+        if np.isfinite(y_new).all():
+            delta /= atol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = math.sqrt((delta @ delta) / size)
         else:
-            err = np.inf
+            err = math.inf
 
         if err <= 1.0:
             t += h
-            y = y_new
-            k[0] = k[6]  # first-same-as-last
+            y[:] = y_new
+            K[1] = K[7]  # first-same-as-last
             if n == len(times):  # no view of either buffer exists yet
                 times.resize(2 * n, refcheck=False)
-                states.resize((2 * n, y.size), refcheck=False)
+                states.resize((2 * n, size), refcheck=False)
             times[n], states[n] = t, y
             n += 1
             h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             if plan.weighted_norm(y) > guard:
-                status = STATUS_BLOWUP
+                reason = "guard"
                 break
             err = max(err, 1e-10)
             factor = 0.9 * err ** (-0.7 / _ORDER) * err_prev ** (0.4 / _ORDER)
@@ -168,17 +165,20 @@ def integrate(config: CascadeConfig, initial: CascadeState, t_end: float,
             h *= min(5.0, max(0.2, factor))
         else:
             rejected += 1
-            shrink = 0.9 * err ** (-1.0 / _ORDER) if np.isfinite(err) else 0.1
+            shrink = 0.9 * err ** (-1.0 / _ORDER) if math.isfinite(err) else 0.1
             h *= min(1.0, max(0.1, shrink))
 
         if h < h_min and t < t_end:
-            status = _stop_status(plan, y, guard)
+            reason = "h_min"
             break
 
-    ratio = plan.weighted_norm(y) / norm0
+    norm = plan.weighted_norm(y)
+    status = (STATUS_COMPLETED if reason == "t_end" else
+              STATUS_BLOWUP if norm > guard else STATUS_UNDERFLOW)
+    ratio = norm / norm0
     stats = dict(accepted_steps=n - 1, rejected_steps=rejected,
                  rhs_evals=6 * steps + 1, h_min_reached=h_lo if n > 1 else None,
-                 h_max_reached=h_hi if n > 1 else None,
+                 h_max_reached=h_hi if n > 1 else None, stop_reason=reason,
                  guard_ratio=ratio if np.isfinite(ratio) else None)
     return CascadeTrajectory.from_arrays(
         times[:n], states[:n].reshape(n, N_SPECIES, -1), status,

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,15 +178,11 @@ def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
 # trajectories
 
 
-def trajectory_columns(config: CascadeConfig) -> list[str]:
-    return ["t"] + [f"X_{i}_{n}" for i in range(1, N_SPECIES + 1)
-                    for n in range(config.n_min, config.n_max + 1)]
-
-
 def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
                         path, sidecar: dict | None = None):
     """Write the CSV row by row from the trajectory arrays, then the sidecar."""
-    cols = trajectory_columns(config)
+    cols = ["t"] + [f"X_{i}_{n}" for i in range(1, N_SPECIES + 1)
+                    for n in range(config.n_min, config.n_max + 1)]
     times = trajectory.times
     rows = trajectory.X.reshape(len(times), -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -343,11 +338,3 @@ class RunManifest:
         doc.pop("wall_time_s")
         doc.pop("outputs")
         return canonical_digest(doc)
-
-
-class ManifestClock:
-    def __init__(self):
-        self.start = time.monotonic()
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start

@@ -9,19 +9,33 @@ them.
 from __future__ import annotations
 
 import os
+import time
+from importlib import import_module
 
 import numpy as np
 
 from . import io as iomod
 from .integrate import integrate
-from .regularity import RegularityParams, analyze_snapshots
 from .tensor import validate_tensor
-from .wavelets import build_wavelet_basis, project_coefficients, synthesize_field
+
+#: wavelet-layer and analyzer entry points, resolved through the package on
+#: first use so that ``simulate`` loads neither; a replacement set here is kept
+_DEFERRED = ("build_wavelet_basis", "project_coefficients", "synthesize_field",
+             "RegularityParams", "analyze_snapshots")
+
+
+def _deferred(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(__package__), name))
+
+
+__getattr__ = _deferred
 
 
 def _finish_manifest(manifest: iomod.RunManifest, out_dir: str,
-                     clock: iomod.ManifestClock) -> str:
-    manifest.wall_time_s = clock.elapsed()
+                     start: float) -> str:
+    manifest.wall_time_s = time.monotonic() - start
     digest = manifest.digest
     doc = manifest.to_dict()
     doc["digest"] = digest
@@ -45,7 +59,7 @@ def run_validate(config_path) -> tuple[int, str]:
 
 def run_simulate(config_path, t_end: float, out_path) -> dict:
     """Integrate the configured system and write CSV + sidecar + manifest."""
-    clock = iomod.ManifestClock()
+    start = time.monotonic()
     config, integrator = iomod.load_cascade_config(config_path)
     report = validate_tensor(config.tensor)
     if not report.valid:
@@ -66,7 +80,7 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
                                  {"t_end": t_end, "integrator": integrator,
                                   "initial": initial_entries},
                                  [str(config_path)], [str(out_path)], 0.0)
-    manifest_digest = _finish_manifest(manifest, out_dir, clock)
+    manifest_digest = _finish_manifest(manifest, out_dir, start)
     iomod.save_trajectory_csv(trajectory, config, out_path, sidecar={
         "config_digest": digest, "manifest_digest": manifest_digest,
         "integrator_stats": trajectory.integrator_stats})
@@ -88,7 +102,7 @@ def load_basis_config(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise iomod.InputError(f"basis config incomplete: {exc}") from exc
     try:
-        return build_wavelet_basis(**kwargs)
+        return _deferred("build_wavelet_basis")(**kwargs)
     except ValueError as exc:
         raise iomod.DomainError(str(exc)) from exc
 
@@ -100,7 +114,8 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     interpolated between the two bracketing samples.  The worst
     round-trip coefficient recovery error across snapshots is recorded.
     """
-    clock = iomod.ManifestClock()
+    synthesize, project = map(_deferred, ("synthesize_field", "project_coefficients"))
+    start = time.monotonic()
     t_samples, states, sidecar = iomod.load_trajectory_csv(trajectory_path)
     basis = load_basis_config(basis_config_path)
     n_min, n_max = sidecar["n_min"], sidecar["n_max"]
@@ -126,8 +141,8 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         for i in range(states.shape[1]):
             for n in range(states.shape[2]):
                 coeffs[i, n] = np.interp(t, t_samples, states[:, i, n])
-        fld = synthesize_field(coeffs, basis, n_min=n_min, time_tag=float(t))
-        recovered = project_coefficients(fld, basis)
+        fld = synthesize(coeffs, basis, n_min=n_min, time_tag=float(t))
+        recovered = project(fld, basis)
         lo = basis.n_window[0]
         window_slice = slice(n_min - lo, n_max - lo + 1)
         err = float(np.max(np.abs(recovered[:, window_slice] - coeffs)))
@@ -140,7 +155,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
 
     manifest.outputs = [base + ".raw" for base, _ in written]
     manifest.parameters["max_roundtrip_error"] = max_roundtrip
-    manifest_digest = _finish_manifest(manifest, out_dir, clock)
+    manifest_digest = _finish_manifest(manifest, out_dir, start)
     for base, sidecar in written:  # written once, with the final digest
         sidecar["manifest_digest"] = manifest_digest
         iomod.dump_json(sidecar, f"{base}.json")
@@ -172,14 +187,14 @@ def load_regularity_params(path) -> tuple[RegularityParams, dict]:
     except OverflowError as exc:
         raise iomod.DomainError(f"params document: {exc}") from exc
     try:
-        return RegularityParams(**fields), doc
+        return _deferred("RegularityParams")(**fields), doc
     except ValueError as exc:
         raise iomod.DomainError(str(exc)) from exc
 
 
 def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     """Classify cubes across levels and write the covering report."""
-    clock = iomod.ManifestClock()
+    start = time.monotonic()
     params, doc = load_regularity_params(params_path)
     levels = doc.get("levels", [2, 3, 4, 5])
     if not isinstance(levels, list) or not all(
@@ -208,14 +223,14 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
                 f"times and one grid, got times {a.time_tag!r} and "
                 f"{b.time_tag!r}, n_grid {a.n_grid} and {b.n_grid}")
 
-    report = analyze_snapshots(snapshots, params, levels)
+    report = _deferred("analyze_snapshots")(snapshots, params, levels)
 
     out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
     os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
         "analyze", iomod.canonical_digest(doc), {"levels": levels},
         [str(params_path)] + [b + ".raw" for b in bases], [str(out_path)], 0.0)
-    manifest_digest = _finish_manifest(manifest, out_dir, clock)
+    manifest_digest = _finish_manifest(manifest, out_dir, start)
 
     doc_out = report.to_dict()
     doc_out["schema"] = iomod.SCHEMA_REPORT

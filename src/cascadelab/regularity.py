@@ -143,6 +143,9 @@ class CoefficientCache:
             raise ValueError("snapshots must share one grid")
         self.times = np.array(times, dtype=float)
         self.partition = mode_partition(self.n_grid)
+        k2 = np.fft.fftfreq(self.n_grid, 1.0 / self.n_grid) ** 2  # integer modes
+        half = k2[:self.n_grid // 2 + 1]  # the real-FFT half axis
+        self._half_radii = np.sqrt(k2[:, None, None] + k2[:, None] + half)
         self.unresolved_bands: set[int] = set()
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
@@ -196,8 +199,7 @@ class CoefficientCache:
     def _half_symbol(self, band: int) -> np.ndarray:
         """Band symbol on the real-FFT half spectrum, up to its last nonzero column."""
         if band not in self._symbols:
-            n = self.n_grid
-            symbol = self.partition.symbol(band, mode_radii(n)[..., :n // 2 + 1])
+            symbol = self.partition.symbol(band, self._half_radii)
             cols = int(np.flatnonzero(symbol.any(axis=(0, 1)))[-1]) + 1
             self._symbols[band] = symbol[..., :cols].copy()
         return self._symbols[band]
@@ -406,6 +408,8 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
     box sizes they saturate the tiling at coarse levels, which is why the
     fit does not use them.
     """
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels must be distinct, got {levels!r}")
     if cache is None:
         cache = CoefficientCache(snapshots, params.epsilon)
     cache.fill(pair for j in levels

@@ -87,11 +87,22 @@ class TestCascadeRHS:
                 n_min=n_min, n_max=n_min + int(rng.integers(0, 10)),
                 kappa=float(rng.uniform(0, 3)),
                 tensor=random_valid_tensor(rng, n_groups=4)))
+        # inviscid, and without any quadratic term: the decay terms alone
+        configs += [builtin_dyadic_config(1.7, 1.2, (n_min, n_min + 8)),
+                    CascadeConfig(lam=1.5, alpha=1.0, n_min=n_min,
+                                  n_max=n_min + 3, kappa=0.0),
+                    CascadeConfig(lam=1.5, alpha=1.0, n_min=n_min,
+                                  n_max=n_min + 3, kappa=0.7)]
         for cfg in configs:
             s = CascadeState(0.0, rng.normal(size=(4, cfg.n_shells)))
             expected = rhs_by_terms(s.X, cfg)
-            assert np.all(cascade_rhs(s, cfg) == expected)
-            assert np.all(cfg.compiled_rhs(s.X.ravel()) == expected.ravel())
+            # bytes, so that signed zeros count too
+            assert cascade_rhs(s, cfg).tobytes() == expected.tobytes()
+            assert cfg.compiled_rhs(s.X.ravel()).tobytes() == expected.tobytes()
+            quad = quadratic_rhs(s, cfg)
+            assert quad.dtype == float and quad.shape == s.X.shape
+            if cfg.kappa == 0.0:
+                assert quad.tobytes() == expected.tobytes()
 
     def test_nonzero_shell_window(self):
         # window not starting at zero: base-shell powers follow absolute n

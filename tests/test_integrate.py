@@ -68,6 +68,37 @@ def test_step_underflow_on_stiff_decay():
     traj = integrate(cfg, s, t_end=1.0, rel_tol=1e-9, h_min=1e-4)
     assert traj.status == "step_underflow"
     assert traj.blowup_time_estimate is None
+    assert traj.integrator_stats["stop_reason"] == "h_min"
+
+
+def test_exhausted_step_budget_reports_max_steps():
+    cfg = builtin_dyadic_config(2.0, 1.0, (0, 7), kappa=0.5)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=2.0, rel_tol=1e-8, max_steps=10)
+    assert traj.status == "step_underflow"
+    stats = traj.integrator_stats
+    assert stats["stop_reason"] == "max_steps"
+    assert stats["accepted_steps"] + stats["rejected_steps"] == 10
+    assert traj.times[-1] < 2.0
+
+
+def test_overdamped_critical_run_matches_rk4_reference():
+    """alpha = 5/4, kappa = 50, shells 0..7: the fused DP5 step lands within
+    one tolerance unit of fixed-step RK4 at h = 2e-7 (inside RK4's stability
+    interval for the fastest rate, about 9.3e6)."""
+    rel_tol, t_end, n_steps = 1e-8, 0.005, 25_000
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 7), kappa=50.0)
+    s = state_from_entries(cfg, {(1, 0): 1.02, (1, 1): -0.04, (1, 2): 0.006})
+    traj = integrate(cfg, s, t_end=t_end, rel_tol=rel_tol)
+    assert traj.status == "completed"
+    assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+    dt = t_end / n_steps
+    ref, _ = rk4_fixed_step(cfg, s, dt, t_end - 0.5 * dt)
+    assert ref.t == pytest.approx(t_end, rel=1e-9)
+    x, x_ref = traj.X[-1], ref.X
+    atol = rel_tol * 1e-3 * float(np.max(np.abs(s.X)))
+    scale = atol + rel_tol * np.maximum(np.abs(x), np.abs(x_ref))
+    assert float(np.sqrt(np.mean(((x - x_ref) / scale) ** 2))) <= 1.0
 
 
 def test_determinism_bit_identical():
@@ -144,6 +175,8 @@ def test_guard_ratio_is_final_over_initial_weighted_norm(kappa, status):
     s = state_from_entries(cfg, {(1, 0): 1.0})
     traj = integrate(cfg, s, t_end=2.0, rel_tol=1e-8, guard_factor=1e3)
     assert traj.status == status
+    assert traj.integrator_stats["stop_reason"] == {
+        "blowup_detected": "guard", "completed": "t_end"}[status]
     X = traj.state_array()
     norm = cfg.compiled_rhs.weighted_norm
     ratio = traj.integrator_stats["guard_ratio"]

@@ -462,6 +462,36 @@ def test_pipeline_writes_standard_json(tmp_path):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+def test_cli_import_leaves_wavelets_and_analyzer_unloaded():
+    """``simulate`` imports neither layer; every exported name still resolves."""
+    src = os.path.dirname(os.path.dirname(cascadelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, cascadelab.cli\n"
+            "loaded = {'cascadelab.regularity', 'cascadelab.wavelets'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "import cascadelab, cascadelab.io\n"
+            "for name in cascadelab.__all__:\n"
+            "    getattr(cascadelab, name)\n"
+            "assert callable(cascadelab.integrate)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_pipeline_calls_a_replacement_set_on_the_module(tmp_path, monkeypatch):
+    from cascadelab import pipeline
+    calls = []
+    original = pipeline.build_wavelet_basis
+
+    def wrapped(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+    monkeypatch.setattr(pipeline, "build_wavelet_basis", wrapped)
+    basis = pipeline.load_basis_config(write_basis_config(tmp_path / "b.json"))
+    assert basis.n_window == (0, 1) and len(calls) == 1
+
+
 class TestManifest:
     def test_digest_stable_under_timing(self):
         m1 = iomod.RunManifest("simulate", "d", {"a": 1}, ["x"], ["y"], 1.0)

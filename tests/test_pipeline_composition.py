@@ -26,6 +26,10 @@ def test_shipped_dyadic_demo_detects_blowup(tmp_path):
     sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
     assert sidecar["status"] == "blowup_detected"
     assert 0.3 < sidecar["blowup_time_estimate"] < 1.0
+    # pinned; the fused DP5 step moved it by 3.5e-11 relative
+    assert sidecar["blowup_time_estimate"] == pytest.approx(
+        0.5404570587757199, rel=1e-9)
+    assert sidecar["integrator_stats"]["stop_reason"] == "guard"
     assert time.time() - t0 < 60
 
 

@@ -225,6 +225,11 @@ class TestAnalyzeSnapshots:
         report = analyze_snapshots(snaps, make_params(), levels=(2, 9))
         assert any("level 9 skipped" in s for s in report.notes)
 
+    def test_repeated_level_rejected(self):
+        snaps = localized_snapshots(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="distinct"):
+            analyze_snapshots(snaps, make_params(), levels=(2, 2))
+
 
 class TestLocalDissipationCheck:
     def test_zero_field(self):
