@@ -37,7 +37,7 @@ _EXPORTS = dict(
     tensor="CoefficientTensor TensorKeyError ValidationReport dyadic_cascade_tensor "
            "random_valid_tensor validate_tensor",
     wavelets="BasisGeometryError UnresolvedShellError WaveletBasis build_wavelet_basis "
-             "project_coefficients synthesize_field")
+             "project_coefficients synthesize_checked synthesize_field")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"

@@ -7,10 +7,38 @@ mode vectors k in the usual FFT layout.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+#: threads that transform snapshots; at most this many are in flight at once
+SNAPSHOT_WORKERS = min(2, len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def map_snapshots(fn, jobs):
+    """Yield ``fn(*job)`` for each job, in order, computed on a pool of
+    ``SNAPSHOT_WORKERS`` threads.
+
+    ``jobs`` is drawn on the calling thread, and only while fewer than
+    ``SNAPSHOT_WORKERS`` results are pending, so at most that many jobs
+    are held at once.  numpy's transforms release the GIL, which is what
+    lets one snapshot's work overlap another's.
+    """
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by simulate
+
+    workers = SNAPSHOT_WORKERS
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for job in jobs:
+            pending.append(pool.submit(fn, *job))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _is_power_of_two(n: int) -> bool:

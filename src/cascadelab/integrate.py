@@ -191,22 +191,23 @@ def rk4_fixed_step(config: CascadeConfig, initial: CascadeState, dt: float,
     """Classical fixed-step RK4 march, independent of the adaptive path.
 
     Serves as a plain reference integrator: no error control, no step
-    adaptation.  If ``stop_norm`` is given, the march halts at the first
-    step where the energy-weighted norm reaches it and that time is
-    returned as the detection time (``None`` if never reached).
+    adaptation.  It takes ``round((t_max - t0) / dt)`` steps, the k-th
+    ending at ``t0 + k dt``.  If ``stop_norm`` is given, the march halts at
+    the first step where the energy-weighted norm reaches it and that time
+    is returned as the detection time (``None`` if never reached).
     """
     plan = config.compiled_rhs
     y = initial.X.astype(float).copy()
-    t = float(initial.t)
+    t0 = t = float(initial.t)
     half = 0.5 * dt
     sixth = dt / 6.0
-    while t < t_max:
+    for k in range(1, max(0, round((t_max - t0) / dt)) + 1):
         s1 = plan(y)
         s2 = plan(y + half * s1)
         s3 = plan(y + half * s2)
         s4 = plan(y + dt * s3)
         y = y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
-        t += dt
+        t = t0 + k * dt
         if stop_norm is not None:
             w = plan.weighted_norm(y)
             if not np.isfinite(w) or w >= stop_norm:

@@ -233,7 +233,7 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
     """Write the raw samples; return their path and the sidecar document,
     which the caller completes and writes once to ``<path_base>.json``."""
     raw_path = str(path_base) + ".raw"
-    fld.data.astype("<f8").tofile(raw_path)
+    fld.data.astype("<f8", copy=False).tofile(raw_path)
     doc = {
         "schema": SCHEMA_SNAPSHOT,
         "n_grid": fld.n_grid,

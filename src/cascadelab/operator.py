@@ -53,9 +53,8 @@ def _term_iter(tensor: CoefficientTensor, basis: WaveletBasis,
 
 
 def _add_term(spectrum: np.ndarray, basis: WaveletBasis, key, b: int, c: float):
-    """Accumulate ``c psi_{i3, b+mu3}`` into a flat spectrum."""
-    sh = basis.shells[(key[2], b + key[5])]
-    spectrum[:, sh.flat_idx] += c * sh.amp
+    """Accumulate ``c psi_{i3, b+mu3}`` into a flat half spectrum."""
+    basis.shells[(key[2], b + key[5])].add_to(spectrum, c)
 
 
 def apply_cascade_operator(u: GridField, v: GridField,
@@ -63,7 +62,7 @@ def apply_cascade_operator(u: GridField, v: GridField,
                            basis: WaveletBasis) -> GridField:
     """Field ``C(u, v)``; symmetric in (u, v) for symmetric tensors."""
     Xu, Xv = _pairings(u, v, basis)
-    out = basis.empty_spectrum()
+    out = basis.half_spectrum()
     for key, b, c in _term_iter(tensor, basis, Xu, Xv):
         _add_term(out, basis, key, b, c)
     result = basis.materialize(out, time_tag=u.time_tag)
@@ -96,7 +95,7 @@ def paraproduct_split(u: GridField, tensor: CoefficientTensor,
         partition = LPPartition.for_grid(u.n_grid, u.box_size)
     partition.check(j)
     Xu, _ = _pairings(u, u, basis)
-    spectra = {name: basis.empty_spectrum() for name in ("lh", "hl", "hh", "loc")}
+    spectra = {name: basis.half_spectrum() for name in ("lh", "hl", "hh", "loc")}
     for key, b, c in _term_iter(tensor, basis, Xu, Xu):
         b1 = basis.shell_band(b + key[3])
         b2 = basis.shell_band(b + key[4])

@@ -15,13 +15,16 @@ from importlib import import_module
 import numpy as np
 
 from . import io as iomod
+from .grid import map_snapshots
 from .integrate import integrate
 from .tensor import validate_tensor
 
 #: wavelet-layer and analyzer entry points, resolved through the package on
-#: first use so that ``simulate`` loads neither; a replacement set here is kept
-_DEFERRED = ("build_wavelet_basis", "project_coefficients", "synthesize_field",
-             "RegularityParams", "analyze_snapshots")
+#: first use so that ``simulate`` loads neither; a replacement set here is kept.
+#: ``synthesize_checked`` is resolved on the calling thread and run on the
+#: snapshot pool (``grid.map_snapshots``), which ``simulate`` never starts.
+_DEFERRED = ("build_wavelet_basis", "synthesize_checked", "RegularityParams",
+             "analyze_snapshots")
 
 
 def _deferred(name: str):
@@ -113,8 +116,10 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     Each time must lie inside the trajectory span; states are linearly
     interpolated between the two bracketing samples.  The worst
     round-trip coefficient recovery error across snapshots is recorded.
+    Snapshots are synthesized on the snapshot pool and written here, in
+    order.
     """
-    synthesize, project = map(_deferred, ("synthesize_field", "project_coefficients"))
+    synthesize = _deferred("synthesize_checked")
     start = time.monotonic()
     t_samples, states, sidecar = iomod.load_trajectory_csv(trajectory_path)
     basis = load_basis_config(basis_config_path)
@@ -123,6 +128,11 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         raise iomod.DomainError(
             f"basis window {basis.n_window} does not cover shells "
             f"[{n_min}, {n_max}]")
+    for t in times:
+        if not t_samples[0] <= t <= t_samples[-1]:
+            raise iomod.DomainError(
+                f"time {t} outside trajectory span "
+                f"[{t_samples[0]}, {t_samples[-1]}]")
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
@@ -130,22 +140,17 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         {"times": list(times), "basis_id": basis.basis_id},
         [str(trajectory_path), str(basis_config_path)], [], 0.0)
 
+    def jobs():
+        for t in times:
+            coeffs = np.empty_like(states[0])
+            for i in range(states.shape[1]):
+                for n in range(states.shape[2]):
+                    coeffs[i, n] = np.interp(t, t_samples, states[:, i, n])
+            yield coeffs, basis, n_min, float(t)
+
     written = []  # (path base, sidecar document) per snapshot
     max_roundtrip = 0.0
-    for idx, t in enumerate(times):
-        if not t_samples[0] <= t <= t_samples[-1]:
-            raise iomod.DomainError(
-                f"time {t} outside trajectory span "
-                f"[{t_samples[0]}, {t_samples[-1]}]")
-        coeffs = np.empty_like(states[0])
-        for i in range(states.shape[1]):
-            for n in range(states.shape[2]):
-                coeffs[i, n] = np.interp(t, t_samples, states[:, i, n])
-        fld = synthesize(coeffs, basis, n_min=n_min, time_tag=float(t))
-        recovered = project(fld, basis)
-        lo = basis.n_window[0]
-        window_slice = slice(n_min - lo, n_max - lo + 1)
-        err = float(np.max(np.abs(recovered[:, window_slice] - coeffs)))
+    for idx, (fld, err) in enumerate(map_snapshots(synthesize, jobs())):
         max_roundtrip = max(max_roundtrip, err)
         base = os.path.join(out_dir, f"snapshot_{idx:04d}")
         _, sidecar = iomod.save_snapshot(

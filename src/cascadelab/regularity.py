@@ -23,9 +23,13 @@ Cube sums separate by axis, so a level is classified at once: coefficient
 tables and family energies are per-axis contractions, the latter with
 :func:`~cascadelab.cubes.family_matrices` (checked against the reference
 enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table the
-requested levels need is computed in one pass over the snapshots, each
-read and FFT'd once (real transform), with one band density in memory
-at a time.
+requested levels need is computed in one pass over the snapshots: the
+calling thread reads each snapshot once, and a pool thread
+(:func:`~cascadelab.grid.map_snapshots`) transforms it once (real
+transform, one component at a time) and contracts each band density into
+its tables.  At most ``SNAPSHOT_WORKERS`` (two) snapshots are in flight,
+and rows are gathered in snapshot order, so tables do not depend on the
+pool size.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import numpy as np
 from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
-from .grid import GridField, apply_symbol, wave_magnitude
-from .spectral import LPPartition, fractional_symbol
+from .grid import GridField, apply_symbol, map_snapshots, wave_magnitude
+from .spectral import LPPartition, chi_profile, fractional_symbol
 
 VERDICT_BAD = "mildly_bad"
 VERDICT_REGULAR = "regular"
@@ -155,8 +159,11 @@ class CoefficientCache:
         self._family_sq: dict[tuple[int, int], np.ndarray] = {}
 
     def fill(self, pairs) -> None:
-        """Missing (level, band) tables in one pass: each snapshot is read and
-        FFT'd once, each band density contracted into its tables and dropped."""
+        """Missing (level, band) tables in one pass over the snapshots.
+
+        The calling thread reads each snapshot; a pool thread transforms it
+        and contracts each band density into its tables
+        (:func:`_snapshot_rows`).  Rows are gathered in snapshot order."""
         tables, needed = {}, {}
         for level, band in sorted(set(pairs) - self._tables.keys()):
             m = len(self._axis_weights(level))
@@ -166,43 +173,50 @@ class CoefficientCache:
             else:
                 self.unresolved_bands.add(band)
         if needed:
-            for s in range(len(self.snapshots)):
-                self._fill_from_snapshot(s, needed, tables)
+            # symbols and weights are built here, so no pool thread writes a cache
+            symbols = self._half_symbols(needed)
+            plan = {band: (symbols[band], {l: self._weights[l] for l in levels})
+                    for band, levels in needed.items()}
+            for s, rows in enumerate(map_snapshots(_snapshot_rows,
+                                                   self._snapshot_jobs(plan))):
+                for key, row in rows.items():
+                    tables[key][s] = row
+            count = len(self.snapshots)
+            self.stats["snapshots_read"] += count
+            self.stats["forward_ffts"] += count
+            self.stats["band_inverses"] += count * len(needed)
         self.stats["tables_filled"] += len(tables) * len(self.snapshots)
         self._tables.update(tables)
 
-    def _fill_from_snapshot(self, s: int, needed: dict, tables: dict):
-        fld = self.snapshots[s]
-        fld = fld if isinstance(fld, GridField) else fld.load()
-        spectrum = np.fft.rfftn(fld.data, axes=(1, 2, 3))
-        cell_volume = fld.cell_volume
-        del fld  # one field at a time
-        self.stats["snapshots_read"] += 1
-        self.stats["forward_ffts"] += 1
-        for band, levels in needed.items():
-            density = self.band_energy_density(spectrum, band)
-            for level in levels:
-                energy = _separable_sum(self._axis_weights(level), density)
-                tables[level, band][s] = np.sqrt(energy * cell_volume)
+    def _snapshot_jobs(self, plan: dict):
+        for snap in self.snapshots:
+            fld = snap if isinstance(snap, GridField) else snap.load()
+            job = [fld.data], fld.cell_volume, plan
+            del fld  # the job's list is then the one reference to the samples
+            yield job
 
-    def band_energy_density(self, spectrum: np.ndarray, band: int) -> np.ndarray:
-        """Pointwise ``|P_band u|^2`` from the real-FFT spectrum of a snapshot."""
-        symbol = self._half_symbol(band)
-        # irfftn, in place and without the columns where the band is zero
-        proj = spectrum[..., :symbol.shape[-1]] * symbol
-        np.fft.ifft(proj, axis=1, out=proj)
-        np.fft.ifft(proj, axis=2, out=proj)
-        proj = np.fft.irfft(proj, n=self.n_grid, axis=3)
-        self.stats["band_inverses"] += 1
-        return np.sum(np.square(proj, out=proj), axis=0)
+    def _half_symbols(self, bands) -> dict[int, np.ndarray]:
+        """Band symbols on the real-FFT half spectrum, each up to its support
+        bound ``3 2**band`` (the column index is a lower bound on |k|).
 
-    def _half_symbol(self, band: int) -> np.ndarray:
-        """Band symbol on the real-FFT half spectrum, up to its last nonzero column."""
-        if band not in self._symbols:
-            symbol = self.partition.symbol(band, self._half_radii)
-            cols = int(np.flatnonzero(symbol.any(axis=(0, 1)))[-1]) + 1
-            self._symbols[band] = symbol[..., :cols].copy()
-        return self._symbols[band]
+        ``chi(r / 2**k)`` is evaluated once per scale k, on the columns
+        where it is nonzero, and serves both bands it bounds: ``p_j =
+        chi(r / 2**j) - chi(r / 2**(j-1))``, the second term only where it
+        is nonzero (elsewhere it is exactly 0)."""
+        chi = {}
+
+        def chi_at(k):
+            if k not in chi:
+                cols = min(int(np.ceil(3.0 * 2.0 ** k)), self.n_grid // 2 + 1)
+                chi[k] = chi_profile(self._half_radii[..., :cols] / 2.0 ** k)
+            return chi[k]
+
+        for band in sorted(set(bands) - self._symbols.keys()):
+            symbol = chi_at(band).copy()
+            lower = chi_at(band - 1)
+            symbol[..., :lower.shape[-1]] -= lower
+            self._symbols[band] = symbol
+        return {band: self._symbols[band] for band in bands}
 
     def _axis_weights(self, level: int) -> np.ndarray:
         """(m, N) squared cutoff profile of each level cube along one axis."""
@@ -248,6 +262,44 @@ class CoefficientCache:
                     for s in range(len(self.snapshots))])
             self._family_sq[key] = total
         return self._family_sq[key]
+
+
+def _snapshot_rows(box: list, cell_volume: float, plan: dict) -> dict:
+    """Coefficient rows ``{(level, band): table[s]}`` of one snapshot.
+
+    ``box`` holds the samples and is emptied, so the field is dropped once
+    its real-FFT spectrum exists; ``plan`` maps each band to its half
+    symbol and the axis weights of its levels.  Runs on a pool thread, so
+    it calls no public function: a tracer that wraps those keeps one span
+    stack per process.
+    """
+    data = box.pop()
+    n = data.shape[-1]
+    spectrum = np.empty(data.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    for c in range(len(data)):
+        np.fft.rfftn(data[c], out=spectrum[c])
+    del data
+    rows = {}
+    for band, (symbol, weights) in plan.items():
+        density = _band_density(spectrum, symbol, n)
+        for level, w in weights.items():
+            rows[level, band] = np.sqrt(_separable_sum(w, density) * cell_volume)
+    return rows
+
+
+def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise ``|P_band u|^2`` from a real-FFT spectrum, one component at
+    a time: an ``irfftn`` in place, without the columns where the band is
+    zero, squared and summed over components in order."""
+    density = None
+    for comp in spectrum:
+        proj = comp[..., :symbol.shape[-1]] * symbol
+        np.fft.ifft(proj, axis=0, out=proj)
+        np.fft.ifft(proj, axis=1, out=proj)
+        square = np.fft.irfft(proj, n=n, axis=2)
+        np.square(square, out=square)
+        density = square if density is None else np.add(density, square, out=density)
+    return density
 
 
 def _separable_sum(weights: np.ndarray, arr: np.ndarray) -> np.ndarray:

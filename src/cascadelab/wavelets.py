@@ -17,12 +17,13 @@ are recovered by plain inner products, and zero momentum and
 divergence-freeness hold to machine precision.
 
 Every spectrum the basis builds is Hermitian, so every field is real and
-only real-input transforms run: synthesis inverts the ``kz >= 0`` half of
-the spectrum with ``irfftn``, and projection reads ``Re u_hat`` from one
-``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a real field, so a mode in
-the other half is read at its mirror).  The profile fields ``psi`` are
-materialized on first read; building the basis runs no transform.  Each
-ball is scanned only on the index box around it.
+only real-input transforms run, one component at a time: synthesis builds
+only the ``kz >= 0`` half of the spectrum (the other half is its mirror)
+and inverts it with the passes of ``irfftn``, and projection reads
+``Re u_hat`` from an ``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a real
+field, so a mode in the other half is read at its mirror).  The profile
+fields ``psi`` are materialized on first read; building the basis runs no
+transform.  Each ball is scanned only on the index box around it.
 
 The box side is tied to the dimensionless geometry through ``base_scale``:
 ``box_size = 2 pi base_scale`` makes the fundamental mode ``1/base_scale``
@@ -130,6 +131,13 @@ class SpectralShell:
     snap_offset: float     # |center - nearest mode| / ball radius
     half_idx: np.ndarray   # flat index of each mode, or of its mirror when
                            # kz > N/2, in the (N, N, N//2+1) rfftn cube
+    in_half: np.ndarray    # True where the mode itself has kz <= N/2
+
+    def add_to(self, half_spectrum: np.ndarray, scale: float = 1.0):
+        """Add ``scale`` times this shell to a flat ``kz >= 0`` half spectrum
+        (:meth:`WaveletBasis.half_spectrum`); mirrored modes are implied."""
+        own = self.in_half
+        half_spectrum[:, self.half_idx[own]] += scale * self.amp[:, own]
 
 
 @dataclass
@@ -176,16 +184,28 @@ class WaveletBasis:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def empty_spectrum(self) -> np.ndarray:
+        """Zero full-layout flat spectrum, indexed by ``SpectralShell.flat_idx``."""
         n = self.n_grid
         return np.zeros((3, n * n * n), dtype=complex)
 
+    def half_spectrum(self) -> np.ndarray:
+        """Zero flat ``kz >= 0`` half spectrum, filled by ``SpectralShell.add_to``."""
+        n = self.n_grid
+        return np.zeros((3, n * n * (n // 2 + 1)), dtype=complex)
+
     def materialize(self, spectrum_flat: np.ndarray,
                     time_tag: float | None = None) -> GridField:
-        """Real field of a Hermitian full-layout flat spectrum; only its
-        ``kz >= 0`` half is read."""
+        """Real field of a Hermitian flat spectrum, half or full layout.
+
+        Only the ``kz >= 0`` half is read, and it is overwritten: each
+        component is inverted in place, ``irfftn``'s passes one by one."""
         n = self.n_grid
-        hat = spectrum_flat.reshape(3, n, n, n)[..., :n // 2 + 1]
-        data = np.fft.irfftn(hat, s=(n, n, n), axes=(1, 2, 3))
+        hat = spectrum_flat.reshape(3, n, n, -1)[..., :n // 2 + 1]
+        data = np.empty((3, n, n, n))
+        for comp, out in zip(hat, data):
+            np.fft.ifft(comp, axis=0, out=comp)
+            np.fft.ifft(comp, axis=1, out=comp)
+            np.fft.irfft(comp, n=n, axis=2, out=out)
         return GridField(data, self.box_size, time_tag)
 
     @cached_property
@@ -194,9 +214,8 @@ class WaveletBasis:
         first read."""
         fields = []
         for i in range(1, 5):
-            spec = self.empty_spectrum()
-            sh = self.shells[(i, self.profile_shell)]
-            spec[:, sh.flat_idx] = sh.amp
+            spec = self.half_spectrum()
+            self.shells[(i, self.profile_shell)].add_to(spec)
             fields.append(self.materialize(spec))
         return fields
 
@@ -291,7 +310,7 @@ def build_wavelet_basis(lam: float, n_grid: int,
                 raise UnresolvedShellError(
                     f"shell {n}, species {i + 1}: degenerate amplitude")
             shells[(i + 1, n)] = SpectralShell(flat_idx, amp / norm, snap,
-                                               half_idx)
+                                               half_idx, ~flip)
 
     return WaveletBasis(lam=lam, n_grid=n_grid, base_scale=base_scale,
                         geometry=geometry, n_window=(n_lo, n_hi),
@@ -303,17 +322,20 @@ def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
     Output shape is (4, window length), species-major.  The amplitudes
-    are real, so only ``Re u_hat`` enters, read from one ``rfftn`` at each
-    mode or its mirror; this is exact for any real field.  Recovery of a
-    field synthesized from the same basis is exact (to roundoff) by
-    disjoint spectral supports.
+    are real, so only ``Re u_hat`` enters, read from an ``rfftn`` of each
+    component at each mode or its mirror; this is exact for any real
+    field.  Recovery of a field synthesized from the same basis is exact
+    (to roundoff) by disjoint spectral supports.
     """
     if fld.n_grid != basis.n_grid:
         raise ValueError("field grid does not match the basis grid")
     if abs(fld.box_size - basis.box_size) > 1e-12 * basis.box_size:
         raise ValueError("field box size does not match the basis box size")
     n = fld.n_grid
-    hat = np.fft.rfftn(fld.data, axes=(1, 2, 3)).real.reshape(3, -1)
+    hat = np.empty((3, n * n * (n // 2 + 1)))  # Re u_hat, one component at a time
+    spectrum = np.empty((n, n, n // 2 + 1), dtype=complex)
+    for comp, re in zip(fld.data, hat):
+        np.copyto(re.reshape(spectrum.shape), np.fft.rfftn(comp, out=spectrum).real)
     weight = basis.box_size ** 3 / n ** 6
     lo, hi = basis.n_window
     out = np.zeros((4, hi - lo + 1))
@@ -338,10 +360,21 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
     if not basis.covers(lo, hi):
         raise ValueError(
             f"state window [{lo}, {hi}] outside basis window {basis.n_window}")
-    spec = basis.empty_spectrum()
+    spec = basis.half_spectrum()
     for (i, shell_n), sh in basis.shells.items():
         if lo <= shell_n <= hi:
             x = coeffs[i - 1, shell_n - lo]
             if x != 0.0:
-                spec[:, sh.flat_idx] += x * sh.amp
+                sh.add_to(spec, x)
     return basis.materialize(spec, time_tag)
+
+
+def synthesize_checked(coeffs, basis: WaveletBasis, n_min: int,
+                       time_tag: float | None = None) -> tuple[GridField, float]:
+    """One snapshot: :func:`synthesize_field` and the largest coefficient
+    error of projecting the field back onto the basis."""
+    fld = synthesize_field(coeffs, basis, n_min, time_tag)
+    coeffs = np.asarray(coeffs, dtype=float)
+    start = n_min - basis.n_window[0]
+    recovered = project_coefficients(fld, basis)[:, start:start + coeffs.shape[1]]
+    return fld, float(np.max(np.abs(recovered - coeffs)))

@@ -77,18 +77,21 @@ def test_file_pass_equals_fields_in_memory(snapshot_run, tmp_path):
 def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     """``run_analyze``'s traced peak stays below 8 snapshots' worth of bytes.
 
-    With B = 3 N^3 float64 samples of one snapshot, the pass holds at most
-    one field (B) and its real-FFT spectrum (3 N^2 (N/2 + 1) complex128,
-    (1 + 2/N) B) plus one intermediate of that size inside ``rfftn``:
-    about 3.1 B.  Inverting one band holds the spectrum, the band's
-    projection (at most (1 + 2/N) B), the inverse transform (B) and two
-    densities (B/3 each): about 3.8 B.  Cached beside it are the mode
-    grids of ``grid.wave_vectors`` (B) and the half-spectrum band
-    symbols (at most (1 + 2/N) B / 6 each, 5 bands at N = 32, 0.9 B).
-    That is about 5.7 B; the bound leaves 2.3 B for tables, weights and
-    temporaries.  Holding every field and every band density instead, as
-    an analyzer that loads all snapshots first does, costs 8 B + 40 B/3
-    before any work: 21 B, and 25 B measured at the peak.
+    With B = 3 N^3 float64 samples of one snapshot, at most two snapshots
+    are in flight (``grid.SNAPSHOT_WORKERS`` on two cores), each with one
+    working set.  Its forward phase holds the field (B), the real-FFT
+    spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B) and one
+    component's transform intermediate ((1 + 2/N) B / 3): about 2.4 B.
+    Inverting a band, one component at a time, holds the spectrum, that
+    component's projection (at most (1 + 2/N) B / 3), its inverse (B / 3)
+    and the density (B / 3): about 2.1 B.  Two working sets are at most
+    4.8 B.  Cached beside them are the half-spectrum radii and the
+    trimmed band symbols ((1 + 2/N) B / 6 at most each, 6 bands at
+    N = 32): 1.3 B.  That is about 6.1 B; the bound leaves 1.9 B for
+    tables, weights and temporaries.  Measured: 6.6 B with two workers,
+    4.2 B with one.  Holding every field and every band density instead,
+    as an analyzer that loads all snapshots first does, costs
+    8 B + 40 B/3 before any work: 21 B, and 25 B measured at the peak.
     """
     snap_dir, params, _ = snapshot_run
     snapshot_bytes = 3 * N ** 3 * 8

@@ -93,12 +93,34 @@ def test_overdamped_critical_run_matches_rk4_reference():
     assert traj.status == "completed"
     assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
     dt = t_end / n_steps
-    ref, _ = rk4_fixed_step(cfg, s, dt, t_end - 0.5 * dt)
+    ref, _ = rk4_fixed_step(cfg, s, dt, t_end)
     assert ref.t == pytest.approx(t_end, rel=1e-9)
     x, x_ref = traj.X[-1], ref.X
     atol = rel_tol * 1e-3 * float(np.max(np.abs(s.X)))
     scale = atol + rel_tol * np.maximum(np.abs(x), np.abs(x_ref))
     assert float(np.sqrt(np.mean(((x - x_ref) / scale) ** 2))) <= 1.0
+
+
+@pytest.mark.parametrize("dt, t_max, n_steps, kappa", [
+    (2e-7, 0.005, 25_000, 50.0), (0.1, 1.0, 10, 0.0)])
+def test_rk4_fixed_step_takes_a_whole_number_of_steps(dt, t_max, n_steps,
+                                                      kappa, monkeypatch):
+    """``round(t_max / dt)`` steps ending at ``k dt``: summing ``t += dt``
+    would take 25,001 steps to pass 0.005, and end the second march at 1.1."""
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 7), kappa=kappa)
+    s = state_from_entries(cfg, {(1, 0): 0.1, (1, 1): -0.004})
+    plan = type(cfg.compiled_rhs)
+    calls = []
+
+    def counted(self, y, _call=plan.__call__):
+        calls.append(1)
+        return _call(self, y)
+    monkeypatch.setattr(plan, "__call__", counted)
+    end, detected = rk4_fixed_step(cfg, s, dt, t_max)
+    assert len(calls) == 4 * n_steps
+    assert end.t == n_steps * dt
+    assert end.t == pytest.approx(t_max, rel=1e-12)
+    assert detected is None
 
 
 def test_determinism_bit_identical():

@@ -106,6 +106,21 @@ class TestCoefficientCache:
                     assert family_sq[(s,) + cube.corner] == pytest.approx(
                         expect, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_half_symbols_are_the_full_symbols_trimmed(self, n):
+        """Shared per-scale profiles give bitwise the full-grid band symbols,
+        cut after the last column where they are nonzero."""
+        cache = CoefficientCache(
+            [GridField(np.zeros((3, n, n, n)), 2 * np.pi, time_tag=0.0)], EPS)
+        bands = cache.partition.bands()
+        radii = mode_radii(n)[..., :n // 2 + 1]
+        symbols = cache._half_symbols(bands)
+        for band in bands:
+            full = cache.partition.symbol(band, radii)
+            cols = symbols[band].shape[-1]
+            assert symbols[band].tobytes() == full[..., :cols].tobytes()
+            assert full[..., cols - 1].any() and not full[..., cols:].any()
+
 
 class TestBadnessFunctional:
     def test_zero_trajectory_regular(self):
