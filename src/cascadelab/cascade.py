@@ -159,8 +159,10 @@ class CompiledRHS:
     ``-rate_i`` per flat index follows these ``n_quadratic`` terms.  From
     ``xe``, the flat species-major state and a trailing 1, one gather forms
     ``(amp * x_a) * x_b`` and ``np.bincount`` sums them per output in term
-    order, as a term-by-term loop would (``q + (-r x) == q - r x``).  The
-    plan is also the one home of the dissipation rates and of the blowup
+    order, as a term-by-term loop would (``q + (-r x) == q - r x``).
+    :meth:`quadratic` sums only the quadratic terms, with factors from two
+    states: the RHS's quadratic part and the grid operator's coefficients.
+    The plan is also the one home of the dissipation rates and of the blowup
     guard's norm ``sum lam**(2n) X**2``, both stored flat.
     """
 
@@ -180,15 +182,21 @@ class CompiledRHS:
         ia, ib, io, self.amp = np.concatenate(terms, axis=1)
         self.iab, self.io = np.stack([ia, ib]).astype(np.intp), io.astype(np.intp)
 
-    def evaluate(self, xe: np.ndarray, n_terms: int | None = None) -> np.ndarray:
-        """Sum of the terms (the first ``n_terms`` if given) at ``xe = [x, 1]``."""
-        iab, amp, io = self.iab, self.amp, self.io
-        if n_terms is not None:
-            iab, amp, io = iab[:, :n_terms], amp[:n_terms], io[:n_terms]
-        g = xe[iab]
-        p = amp * g[0]
+    def evaluate(self, xe: np.ndarray) -> np.ndarray:
+        """Sum of all the terms at ``xe = [x, 1]``."""
+        g = xe[self.iab]
+        p = self.amp * g[0]
         p *= g[1]
-        return np.bincount(io, p, len(xe) - 1)
+        return np.bincount(self.io, p, len(xe) - 1)
+
+    def quadratic(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """Sum of the quadratic terms ``(amp x_a) x_b``, x_a from the flat
+        state ``xa`` and x_b from ``xb``; float even with no terms (where
+        ``bincount`` counts in integers)."""
+        q = self.n_quadratic
+        p = self.amp[:q] * xa[self.iab[0, :q]]
+        p *= xb[self.iab[1, :q]]
+        return np.bincount(self.io[:q], p, xa.size).astype(float, copy=False)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         deriv = self.evaluate(np.concatenate((y.ravel(), (1.0,))))
@@ -201,9 +209,8 @@ class CompiledRHS:
 def quadratic_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:
     """Quadratic part of the shell derivative with group-safe truncation
     (see the module docstring): zero cubic flux for valid tensors."""
-    plan = config.compiled_rhs  # astype: bincount of no terms counts in integers
-    quad = plan.evaluate(np.append(state.X, 1.0), plan.n_quadratic)
-    return quad.reshape(state.X.shape).astype(float, copy=False)
+    x = state.X.ravel()
+    return config.compiled_rhs.quadratic(x, x).reshape(state.X.shape)
 
 
 def cascade_rhs(state: CascadeState, config: CascadeConfig) -> np.ndarray:

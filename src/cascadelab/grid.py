@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,15 +93,11 @@ def zero_field(n_grid: int, box_size: float = 2.0 * np.pi,
     return GridField(np.zeros((n_components, n_grid, n_grid, n_grid)), box_size)
 
 
-@lru_cache(maxsize=16)
-def _mode_grids(n_grid: int):
-    k = np.fft.fftfreq(n_grid, d=1.0 / n_grid)  # integer mode numbers
-    return np.meshgrid(k, k, k, indexing="ij")
-
-
 def wave_vectors(n_grid: int, box_size: float,
                  zero_nyquist: bool = False) -> list[np.ndarray]:
-    """Physical wave-vector component arrays, each of shape (N, N, N).
+    """Physical wave-vector components as broadcastable axes, shaped
+    (N, 1, 1), (1, N, 1) and (1, 1, N); arithmetic between them spans the
+    (N, N, N) mode cube, and nothing is cached between calls.
 
     Odd (derivative-type) symbols must use ``zero_nyquist=True``: the
     Nyquist frequency has no sign-consistent representative on an even
@@ -110,14 +105,12 @@ def wave_vectors(n_grid: int, box_size: float,
     parts into real fields.  Even symbols (|xi| powers, band cutoffs) are
     safe with the full arrays.
     """
-    scale = 2.0 * np.pi / box_size
-    out = []
-    for g in _mode_grids(n_grid):
-        arr = scale * g
-        if zero_nyquist:
-            arr = np.where(np.abs(g) == n_grid // 2, 0.0, arr)
-        out.append(arr)
-    return out
+    k = np.fft.fftfreq(n_grid, d=1.0 / n_grid)  # integer mode numbers
+    arr = 2.0 * np.pi / box_size * k
+    if zero_nyquist:
+        arr = np.where(np.abs(k) == n_grid // 2, 0.0, arr)
+    return [arr.reshape(shape) for shape in
+            ((-1, 1, 1), (1, -1, 1), (1, 1, -1))]
 
 
 def wave_magnitude(n_grid: int, box_size: float) -> np.ndarray:

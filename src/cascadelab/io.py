@@ -204,7 +204,8 @@ def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
 
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Times, stacked states (n_samples, 4, n_shells), and the sidecar,
-    whose ``n_min <= n_max`` must be JSON integers."""
+    whose ``n_min <= n_max`` must be JSON integers.  Every value must be
+    finite and the times strictly increasing."""
     sidecar = load_json(str(path) + ".json", SCHEMA_TRAJECTORY)
     n_min, n_max = sidecar.get("n_min"), sidecar.get("n_max")
     if not (_typed(n_min, int) and _typed(n_max, int) and n_min <= n_max):
@@ -219,7 +220,11 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     n_shells = n_max - n_min + 1
     if raw.shape[1] != 1 + N_SPECIES * n_shells:
         raise InputError(f"{path}: column count does not match the sidecar window")
+    if not np.all(np.isfinite(raw)):
+        raise InputError(f"{path}: every value must be finite")
     times = raw[:, 0]
+    if np.any(np.diff(times) <= 0):
+        raise InputError(f"{path}: times must be strictly increasing")
     states = raw[:, 1:].reshape(len(raw), N_SPECIES, n_shells)
     return times, states, sidecar
 

@@ -6,68 +6,52 @@
               a * lam**(5b/2) * <u, psi_{i1, b+mu1}> <v, psi_{i2, b+mu2}>
               * psi_{i3, b+mu3}
 
-with the same whole-group truncation rule as the coefficient-space
-dynamics: a (entry, base) term survives only when all three referenced
-shells sit inside the basis window, so the cancellation identity
-``<C(u,u), u> = 0`` is preserved exactly under truncation.
+in coefficient space: u and v are projected once, the cascade's own
+compiled terms (``CompiledRHS.quadratic``) are summed with the first factor
+from u and the second from v, and ``synthesize_field`` builds the field.
+The plan's whole-group truncation rule keeps a (entry, base) term only
+when all three referenced shells sit inside the basis window, so the
+cancellation identity ``<C(u,u), u> = 0`` is preserved exactly.
 
 ``paraproduct_split`` partitions the terms of ``P_j C(u,u)`` into four
 frequency regimes according to the dyadic bands carrying the two input
 pairings: both inputs far above the output band (``hh``), first input far
 below (``lh``), second input far below (``hl``), and everything near the
-output band (``loc``).  The regimes are disjoint and exhaustive, so the
-four parts always sum to ``P_j C(u,u)``.
+output band (``loc``).  A term's regime depends only on its two input
+shells, so each pair of input shells is summed into its regime.  The
+regimes are disjoint and exhaustive, so the four parts always sum to
+``P_j C(u,u)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cascade import CascadeConfig, CompiledRHS
 from .grid import GridField
 from .spectral import LPPartition, lp_project
 from .tensor import CoefficientTensor
-from .wavelets import WaveletBasis, project_coefficients
+from .wavelets import WaveletBasis, project_coefficients, synthesize_field
 
 
-def _pairings(u: GridField, v: GridField, basis: WaveletBasis):
-    Xu = project_coefficients(u, basis)
-    Xv = Xu if v is u else project_coefficients(v, basis)
-    return Xu, Xv
-
-
-def _term_iter(tensor: CoefficientTensor, basis: WaveletBasis,
-               Xu: np.ndarray, Xv: np.ndarray):
-    """Yield ``(key, b, c)`` for every in-window term with nonzero coefficient.
-
-    A term is one (entry, base shell b) pair whose full shell triple lies in
-    the window; ``c = a lam**(5b/2) <u, psi_{i1,b+mu1}> <v, psi_{i2,b+mu2}>``.
-    """
+def _plan(tensor: CoefficientTensor, basis: WaveletBasis) -> CompiledRHS:
+    """The cascade's compiled terms over the basis window."""
     lo, hi = basis.n_window
-    for key, a in tensor.entries.items():
-        i1, i2, i3, m1, m2, m3 = key
-        for b in range(lo, hi - max(m1, m2, m3) + 1):
-            c = (a * basis.lam ** (2.5 * b)
-                 * Xu[i1 - 1, b + m1 - lo] * Xv[i2 - 1, b + m2 - lo])
-            if c != 0.0:
-                yield key, b, c
-
-
-def _add_term(spectrum: np.ndarray, basis: WaveletBasis, key, b: int, c: float):
-    """Accumulate ``c psi_{i3, b+mu3}`` into a flat half spectrum."""
-    basis.shells[(key[2], b + key[5])].add_to(spectrum, c)
+    return CascadeConfig(basis.lam, 0.0, lo, hi, kappa=0.0, tensor=tensor,
+                         check_tensor=False).compiled_rhs
 
 
 def apply_cascade_operator(u: GridField, v: GridField,
                            tensor: CoefficientTensor,
                            basis: WaveletBasis) -> GridField:
     """Field ``C(u, v)``; symmetric in (u, v) for symmetric tensors."""
-    Xu, Xv = _pairings(u, v, basis)
-    out = basis.half_spectrum()
-    for key, b, c in _term_iter(tensor, basis, Xu, Xv):
-        _add_term(out, basis, key, b, c)
-    result = basis.materialize(out, time_tag=u.time_tag)
-    # each entry with a shifted slot loses its top base shell to truncation
-    result.meta["truncated_groups"] = sum(max(key[3:]) for key in tensor.entries)
+    plan = _plan(tensor, basis)
+    xu = project_coefficients(u, basis)
+    xv = xu if v is u else project_coefficients(v, basis)
+    coeffs = plan.quadratic(xu.ravel(), xv.ravel()).reshape(xu.shape)
+    result = synthesize_field(coeffs, basis, time_tag=u.time_tag)
+    # terms dropped by truncation: each entry loses its top max(mu) base shells
+    result.meta["truncated_groups"] = len(tensor) * xu.shape[1] - plan.n_quadratic
     return result
 
 
@@ -94,22 +78,24 @@ def paraproduct_split(u: GridField, tensor: CoefficientTensor,
     if partition is None:
         partition = LPPartition.for_grid(u.n_grid, u.box_size)
     partition.check(j)
-    Xu, _ = _pairings(u, u, basis)
-    spectra = {name: basis.half_spectrum() for name in ("lh", "hl", "hh", "loc")}
-    for key, b, c in _term_iter(tensor, basis, Xu, Xu):
-        b1 = basis.shell_band(b + key[3])
-        b2 = basis.shell_band(b + key[4])
-        if min(b1, b2) > j + width:
-            name = "hh"
-        elif b1 < j - width and b1 <= b2:
-            name = "lh"
-        elif b2 < j - width:
-            name = "hl"
-        else:
-            name = "loc"
-        _add_term(spectra[name], basis, key, b, c)
-    parts = tuple(
-        lp_project(basis.materialize(spectra[name], time_tag=u.time_tag),
-                   j, partition)
-        for name in ("lh", "hl", "hh", "loc"))
-    return parts
+    plan = _plan(tensor, basis)
+    x = project_coefficients(u, basis)
+    shells = range(basis.n_window[0], basis.n_window[1] + 1)
+    on_shell = [(x * e).ravel() for e in np.eye(len(shells))]  # x on one shell
+    coeffs = {name: np.zeros(x.size) for name in ("lh", "hl", "hh", "loc")}
+    for n1, x1 in zip(shells, on_shell):
+        b1 = basis.shell_band(n1)
+        for n2, x2 in zip(shells, on_shell):
+            b2 = basis.shell_band(n2)
+            if min(b1, b2) > j + width:
+                name = "hh"
+            elif b1 < j - width and b1 <= b2:
+                name = "lh"
+            elif b2 < j - width:
+                name = "hl"
+            else:
+                name = "loc"
+            coeffs[name] += plan.quadratic(x1, x2)
+    return tuple(lp_project(synthesize_field(c.reshape(x.shape), basis,
+                                             time_tag=u.time_tag), j, partition)
+                 for c in coeffs.values())

@@ -148,9 +148,17 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                     coeffs[i, n] = np.interp(t, t_samples, states[:, i, n])
             yield coeffs, basis, n_min, float(t)
 
+    def checked(*job):  # finite amplitudes can still overflow the samples
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                return synthesize(*job)
+        except ValueError as exc:
+            raise iomod.DomainError(
+                f"{trajectory_path} at time {job[-1]}: {exc}") from exc
+
     written = []  # (path base, sidecar document) per snapshot
     max_roundtrip = 0.0
-    for idx, (fld, err) in enumerate(map_snapshots(synthesize, jobs())):
+    for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
         max_roundtrip = max(max_roundtrip, err)
         base = os.path.join(out_dir, f"snapshot_{idx:04d}")
         _, sidecar = iomod.save_snapshot(

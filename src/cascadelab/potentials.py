@@ -17,7 +17,7 @@ as an exactly inverse pair (left Riemann sums against backward
 differences, with a zero ghost layer at the lower box face), so the
 identity ``backward_divergence(Psi) == psi`` holds to machine precision.
 The box stands in for full space: profiles are expected to decay to
-(near) zero inside the box, which is checked against ``boundary_tol``.
+(near) zero inside the box, which is checked against ``BOUNDARY_TOL``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField
+
+#: largest accepted ``|int psi|``, relative to ``||psi||_2 * box^{3/2}``
+MOMENTUM_TOL = 1e-10
+#: largest accepted boundary-face magnitude, relative to ``max |psi|``
+BOUNDARY_TOL = 1e-6
 
 
 class NonzeroMomentumError(ValueError):
@@ -70,24 +75,18 @@ def default_z_profile(n_grid: int) -> np.ndarray:
     return out
 
 
-def divergence_potential(psi: GridField, f_profile: np.ndarray | None = None,
-                         momentum_tol: float = 1e-10,
-                         boundary_tol: float = 1e-6) -> GridField:
+def divergence_potential(psi: GridField,
+                         f_profile: np.ndarray | None = None) -> GridField:
     """Vector potential ``Psi`` with ``div Psi = psi`` (one-sided calculus).
 
     Parameters
     ----------
     psi : GridField
         Scalar profile; must have (numerically) zero integral and decay to
-        ~0 near the box faces.
+        ~0 near the box faces (``MOMENTUM_TOL``, ``BOUNDARY_TOL``).
     f_profile : ndarray, optional
         Samples of the free 1D profile ``f(z)``; any smooth compactly
         supported choice works.  Defaults to a centered mollifier bump.
-    momentum_tol : float
-        Rejection threshold on ``|int psi|`` relative to the natural scale
-        ``||psi||_2 * box^{3/2}``.
-    boundary_tol : float
-        Maximum allowed boundary-face magnitude relative to ``max |psi|``.
 
     Returns
     -------
@@ -108,9 +107,9 @@ def divergence_potential(psi: GridField, f_profile: np.ndarray | None = None,
 
     momentum = float(np.sum(data) * h ** 3)
     scale = l2 * psi.box_size ** 1.5
-    if abs(momentum) > momentum_tol * scale:
+    if abs(momentum) > MOMENTUM_TOL * scale:
         raise NonzeroMomentumError(
-            f"profile integral {momentum:.3e} exceeds {momentum_tol:.1e} x "
+            f"profile integral {momentum:.3e} exceeds {MOMENTUM_TOL:.1e} x "
             f"{scale:.3e}; a nonzero-mass profile is not a divergence")
 
     peak = float(np.max(np.abs(data)))
@@ -118,10 +117,10 @@ def divergence_potential(psi: GridField, f_profile: np.ndarray | None = None,
         float(np.max(np.abs(data[0]))), float(np.max(np.abs(data[-1]))),
         float(np.max(np.abs(data[:, 0]))), float(np.max(np.abs(data[:, -1]))),
         float(np.max(np.abs(data[:, :, 0]))), float(np.max(np.abs(data[:, :, -1]))))
-    if boundary > boundary_tol * peak:
+    if boundary > BOUNDARY_TOL * peak:
         raise ValueError(
             f"profile does not decay at the box faces "
-            f"(boundary/peak = {boundary / peak:.2e} > {boundary_tol:.1e})")
+            f"(boundary/peak = {boundary / peak:.2e} > {BOUNDARY_TOL:.1e})")
 
     if f_profile is None:
         f_profile = default_z_profile(n)

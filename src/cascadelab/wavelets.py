@@ -86,18 +86,15 @@ class BallGeometry:
 
     @classmethod
     def for_lambda(cls, lam: float, directions: np.ndarray | None = None,
-                   center_radius: float | None = None,
                    ball_radius: float | None = None) -> "BallGeometry":
         if directions is None:
             directions = DEFAULT_DIRECTIONS
         directions = np.asarray(directions, dtype=float)
         norms = np.linalg.norm(directions, axis=1)
         directions = directions / norms[:, None]
-        if center_radius is None:
-            center_radius = (1.0 + (lam + 1.0) / 2.0) / 2.0
         if ball_radius is None:
             ball_radius = 0.9 * (lam - 1.0) / 4.0
-        geo = cls(directions, float(center_radius), float(ball_radius))
+        geo = cls(directions, (1.0 + (lam + 1.0) / 2.0) / 2.0, float(ball_radius))
         geo.validate(lam)
         return geo
 
@@ -132,12 +129,6 @@ class SpectralShell:
     half_idx: np.ndarray   # flat index of each mode, or of its mirror when
                            # kz > N/2, in the (N, N, N//2+1) rfftn cube
     in_half: np.ndarray    # True where the mode itself has kz <= N/2
-
-    def add_to(self, half_spectrum: np.ndarray, scale: float = 1.0):
-        """Add ``scale`` times this shell to a flat ``kz >= 0`` half spectrum
-        (:meth:`WaveletBasis.half_spectrum`); mirrored modes are implied."""
-        own = self.in_half
-        half_spectrum[:, self.half_idx[own]] += scale * self.amp[:, own]
 
 
 @dataclass
@@ -188,11 +179,6 @@ class WaveletBasis:
         n = self.n_grid
         return np.zeros((3, n * n * n), dtype=complex)
 
-    def half_spectrum(self) -> np.ndarray:
-        """Zero flat ``kz >= 0`` half spectrum, filled by ``SpectralShell.add_to``."""
-        n = self.n_grid
-        return np.zeros((3, n * n * (n // 2 + 1)), dtype=complex)
-
     def materialize(self, spectrum_flat: np.ndarray,
                     time_tag: float | None = None) -> GridField:
         """Real field of a Hermitian flat spectrum, half or full layout.
@@ -212,12 +198,8 @@ class WaveletBasis:
     def psi(self) -> list[GridField]:
         """The four profile fields on shell ``profile_shell``, built on
         first read."""
-        fields = []
-        for i in range(1, 5):
-            spec = self.half_spectrum()
-            self.shells[(i, self.profile_shell)].add_to(spec)
-            fields.append(self.materialize(spec))
-        return fields
+        return [synthesize_field(np.eye(4)[:, [i]], self, self.profile_shell)
+                for i in range(4)]
 
 
 def _box_axis(n_grid: int, center: float, radius: float) -> np.ndarray:
@@ -360,12 +342,13 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
     if not basis.covers(lo, hi):
         raise ValueError(
             f"state window [{lo}, {hi}] outside basis window {basis.n_window}")
-    spec = basis.half_spectrum()
+    n = basis.n_grid
+    spec = np.zeros((3, n * n * (n // 2 + 1)), dtype=complex)  # kz >= 0 half
     for (i, shell_n), sh in basis.shells.items():
         if lo <= shell_n <= hi:
             x = coeffs[i - 1, shell_n - lo]
-            if x != 0.0:
-                sh.add_to(spec, x)
+            if x != 0.0:  # modes outside the half are implied by their mirrors
+                spec[:, sh.half_idx[sh.in_half]] += x * sh.amp[:, sh.in_half]
     return basis.materialize(spec, time_tag)
 
 

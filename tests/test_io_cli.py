@@ -333,20 +333,46 @@ def _simulate_with(integrator, t_end="0.01", kappa=None):
     return argv
 
 
-def _synthesize_without(sidecar_key):
+def _synthesize_with(drop_sidecar_key=None, edit=None):
+    """Synthesize argv over a simulated trajectory.  ``drop_sidecar_key``
+    is deleted from its sidecar; ``edit`` changes its CSV rows (lists of
+    fields, header excluded) in place and returns the time to synthesize."""
     def argv(tmp_path):
         config = write_config(tmp_path / "c.json",
                               integrator={"initial": {"X_1_0": 1.0}})
         traj = tmp_path / "traj.csv"
         main(["simulate", "--config", str(config), "--t-end", "0.02",
               "--out", str(traj)])
-        sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
-        del sidecar[sidecar_key]
-        iomod.dump_json(sidecar, f"{traj}.json")
+        t = "0.01"
+        if drop_sidecar_key is not None:
+            sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
+            del sidecar[drop_sidecar_key]
+            iomod.dump_json(sidecar, f"{traj}.json")
+        if edit is not None:
+            header, *lines = traj.read_text().splitlines()
+            rows = [line.split(",") for line in lines]
+            t = edit(rows)
+            traj.write_text("\n".join([header] + [",".join(r) for r in rows])
+                            + "\n")
         basis = write_basis_config(tmp_path / "basis.json")
         return ["synthesize", "--trajectory", str(traj), "--basis-config",
-                str(basis), "--times", "0.01", "--out-dir", str(tmp_path / "snaps")]
+                str(basis), "--times", t, "--out-dir", str(tmp_path / "snaps")]
     return argv
+
+
+def _nan_in_bracket(rows):
+    rows[2][1] = "nan"
+    return repr((float(rows[1][0]) + float(rows[2][0])) / 2.0)
+
+
+def _huge_amplitudes(rows):
+    rows[1][1] = rows[2][1] = "1e308"  # finite, but synthesis overflows
+    return repr((float(rows[1][0]) + float(rows[2][0])) / 2.0)
+
+
+def _times_swapped(rows):
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+    return rows[2][0]
 
 
 def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
@@ -389,7 +415,7 @@ MALFORMED_INPUT = [
     pytest.param(_analyze_with(drop_sidecar_key="n_grid"), 2,
                  id="sidecar-without-n-grid"),
     pytest.param(_analyze_with({"alpha": "abc"}), 2, id="alpha-not-a-number"),
-    pytest.param(_synthesize_without("n_min"), 2,
+    pytest.param(_synthesize_with(drop_sidecar_key="n_min"), 2,
                  id="trajectory-sidecar-without-n-min"),
     pytest.param(_analyze_with(tags=(0.0, None, 1.0)), 2,
                  id="snapshot-without-time"),
@@ -407,6 +433,12 @@ MALFORMED_INPUT = [
     pytest.param(_simulate_with({}, t_end="nan"), 1, id="t-end-nan"),
     pytest.param(_simulate_with({"max_steps": 1000}, t_end="inf"), 1,
                  id="t-end-inf"),
+    pytest.param(_synthesize_with(edit=_nan_in_bracket), 2,
+                 id="trajectory-nan-amplitude"),
+    pytest.param(_synthesize_with(edit=_huge_amplitudes), 1,
+                 id="trajectory-amplitude-overflows-synthesis"),
+    pytest.param(_synthesize_with(edit=_times_swapped), 2,
+                 id="trajectory-times-not-increasing"),
 ]
 
 
