@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: a path not readable or writable
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,54 @@ SCHEMA_MANIFEST = "run-manifest/1"
 TOOL_VERSION = "cascadelab 0.1.0"
 
 
+def _typed(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(_typed(v, int) for v in value)
+
+
+#: JSON kinds: (description, test, conversion of a value that passes).
+#: A bool is never a number, and an integer is a JSON integer.
+NUMBER = ("a number", _typed, float)
+INTEGER = ("an integer", lambda v: _typed(v, int), int)
+NUMBER_OR_NULL = ("a number or null", lambda v: v is None or _typed(v),
+                  lambda v: None if v is None else float(v))
+OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
+TWO_INTEGERS = ("two integers", lambda v: _integers(v) and len(v) == 2, tuple)
+DISTINCT_INTEGERS = ("a list of distinct integers",
+                     lambda v: _integers(v) and len(set(v)) == len(v), list)
+TENSOR_ROWS = ("a list of rows of six integers and a number",
+               lambda v: isinstance(v, list) and all(
+                   isinstance(row, list) and len(row) == 7
+                   and _integers(row[:6]) and _typed(row[6]) for row in v),
+               lambda v: [row[:6] + [float(row[6])] for row in v])
+
+#: fields of each input document as (required, optional) maps from name to
+#: JSON kind; an absent optional field takes the default of its consumer
+FIELDS = {
+    SCHEMA_CONFIG: ({"lambda": NUMBER, "alpha": NUMBER, "kappa": NUMBER,
+                     "n_min": INTEGER, "n_max": INTEGER, "tensor": TENSOR_ROWS},
+                    {"integrator": OBJECT}),
+    SCHEMA_BASIS: ({"lambda": NUMBER, "n_grid": INTEGER,
+                    "n_window": TWO_INTEGERS, "base_scale": NUMBER}, {}),
+    SCHEMA_PARAMS: ({"alpha": NUMBER, "epsilon": NUMBER, "gamma": NUMBER,
+                     "K_threshold": NUMBER, "levels": DISTINCT_INTEGERS},
+                    {"nuclear_depth": INTEGER, "window_exponent": INTEGER,
+                     "exponent_offset": NUMBER, "window_base": NUMBER,
+                     "vitali_pre_dilation": NUMBER}),
+    SCHEMA_TRAJECTORY: ({"n_min": INTEGER, "n_max": INTEGER}, {}),
+    SCHEMA_SNAPSHOT: ({"n_grid": INTEGER, "components": INTEGER,
+                       "box_size": NUMBER, "time": NUMBER_OR_NULL}, {}),
+}
+#: the integrator block of a cascade config, which takes no other key
+INTEGRATOR_FIELDS = ({}, {**{name: INTEGER if kinds is int else NUMBER
+                             for name, (kinds, *_) in CONTROLS.items()},
+                          "initial": OBJECT})
+_KEYWORDS = {"lambda": "lam"}  # field -> argument, for Python keywords
+
+
 class InputError(Exception):
     """Unreadable, unparsable, or wrong-schema input (CLI exit code 2)."""
 
@@ -58,8 +106,9 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def load_json(path, expected_schema: str) -> dict:
-    """Document of the expected schema.  Unreadable or malformed JSON, a
+def read_document(path, schema: str) -> tuple[dict, dict]:
+    """Checked fields (see :data:`FIELDS` and :func:`read_fields`) and the
+    whole document of the given schema.  Unreadable or malformed JSON, a
     ``NaN``/``Infinity`` literal included, is an InputError; a number that
     overflows a float is a DomainError."""
     try:
@@ -74,10 +123,30 @@ def load_json(path, expected_schema: str) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
-    schema = doc.get("schema")
-    if schema != expected_schema:
-        raise InputError(f"{path}: schema {schema!r}, expected {expected_schema!r}")
-    return doc
+    if doc.get("schema") != schema:
+        raise InputError(f"{path}: schema {doc.get('schema')!r}, expected {schema!r}")
+    return read_fields(doc, FIELDS[schema], path), doc
+
+
+def read_fields(doc: dict, table: dict, where) -> dict:
+    """The fields of ``doc`` that ``table`` names, as keyword arguments.
+    A required field missing or a value of another kind is an InputError
+    naming ``where`` and the field; a number too large for a float is a
+    DomainError."""
+    required, optional = table
+    fields = {}
+    for name, (kind, test, convert) in {**required, **optional}.items():
+        if name not in doc:
+            if name in required:
+                raise InputError(f"{where}: {name} is missing")
+            continue
+        if not test(doc[name]):
+            raise InputError(f"{where}: {name} must be {kind}, got {doc[name]!r}")
+        try:
+            fields[_KEYWORDS.get(name, name)] = convert(doc[name])
+        except OverflowError as exc:
+            raise DomainError(f"{where}: {name}: {exc}") from exc
+    return fields
 
 
 def dump_json(doc: dict, path):
@@ -114,14 +183,8 @@ DEFAULT_INITIAL = {"X_1_0": 1.0}
 _INITIAL_KEY = re.compile(r"X_(\d+)_(-?\d+)")
 
 
-def _typed(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def initial_state(config: CascadeConfig, entries) -> CascadeState:
+def initial_state(config: CascadeConfig, entries: dict) -> CascadeState:
     """State from an integrator block's ``{"X_<i>_<n>": value}`` entries."""
-    if not isinstance(entries, dict):
-        raise InputError("integrator.initial must be an object")
     parsed = {}
     for key, value in entries.items():
         match = _INITIAL_KEY.fullmatch(key)
@@ -138,40 +201,26 @@ def initial_state(config: CascadeConfig, entries) -> CascadeState:
     return state
 
 
-def parse_config(doc: dict) -> tuple[CascadeConfig, dict]:
-    """Config and checked integrator block; constraint issues are DomainError."""
+def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
+    """Config and its integrator block, both checked; a value out of range
+    is a DomainError."""
+    fields, _ = read_document(path, SCHEMA_CONFIG)
+    integrator = fields.pop("integrator", {})
+    unknown = sorted(set(integrator) - set(INTEGRATOR_FIELDS[1]))
+    if unknown:
+        raise InputError(f"{path}: unknown integrator key {unknown[0]!r}; "
+                         f"accepted: {', '.join(INTEGRATOR_FIELDS[1])}")
+    controls = read_fields(integrator, INTEGRATOR_FIELDS, f"{path}: integrator")
+    initial = controls.pop("initial", None)
     try:
-        tensor = CoefficientTensor.from_rows(doc.get("tensor", []))
-        config = CascadeConfig(
-            lam=float(doc["lambda"]), alpha=float(doc["alpha"]),
-            n_min=int(doc["n_min"]), n_max=int(doc["n_max"]),
-            kappa=float(doc.get("kappa", 1.0)), tensor=tensor,
-            check_tensor=False)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"config document incomplete: {exc}") from exc
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-    integrator = doc.get("integrator", {})
-    if not isinstance(integrator, dict):
-        raise InputError("integrator block must be an object")
-    controls = {k: v for k, v in integrator.items() if k != "initial"}
-    for key, value in controls.items():
-        if key not in CONTROLS:
-            raise InputError(f"unknown integrator key {key!r}; accepted: "
-                             f"{', '.join(CONTROLS)}, initial")
-        if not _typed(value, CONTROLS[key][0]):
-            raise InputError(f"integrator.{key} has the wrong type: {value!r}")
-    try:
+        fields["tensor"] = CoefficientTensor.from_rows(fields["tensor"])
+        config = CascadeConfig(**fields, check_tensor=False)
         check_controls(**controls)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    if "initial" in integrator:
-        initial_state(config, integrator["initial"])
-    return config, dict(integrator)
-
-
-def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
-    return parse_config(load_json(path, SCHEMA_CONFIG))
+    if initial is not None:
+        initial_state(config, initial)
+    return config, integrator
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +253,12 @@ def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
 
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Times, stacked states (n_samples, 4, n_shells), and the sidecar,
-    whose ``n_min <= n_max`` must be JSON integers.  Every value must be
-    finite and the times strictly increasing."""
-    sidecar = load_json(str(path) + ".json", SCHEMA_TRAJECTORY)
-    n_min, n_max = sidecar.get("n_min"), sidecar.get("n_max")
-    if not (_typed(n_min, int) and _typed(n_max, int) and n_min <= n_max):
-        raise InputError(f"{path}.json: n_min and n_max must be integers with "
-                         f"n_min <= n_max, got {n_min!r} and {n_max!r}")
+    whose ``n_min`` must not exceed ``n_max``.  Every value must be finite
+    and the times strictly increasing."""
+    fields, sidecar = read_document(f"{path}.json", SCHEMA_TRAJECTORY)
+    n_min, n_max = fields["n_min"], fields["n_max"]
+    if n_min > n_max:
+        raise InputError(f"{path}.json: n_min {n_min} exceeds n_max {n_max}")
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -251,11 +299,6 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
     return raw_path, doc
 
 
-#: sidecar fields of a snapshot and the JSON types they must have
-_SNAPSHOT_FIELDS = {"n_grid": (int,), "components": (int,),
-                    "box_size": (int, float), "time": (int, float, type(None))}
-
-
 @dataclass(frozen=True)
 class SnapshotFile:
     """A snapshot known from its checked sidecar; ``load`` reads the samples."""
@@ -271,19 +314,11 @@ class SnapshotFile:
 
 def read_snapshot_header(path_base) -> SnapshotFile:
     """Sidecar ``<path_base>.json``; a malformed file, a field missing or of
-    the wrong type, or an ``n_grid`` no field has is an InputError."""
-    doc = load_json(str(path_base) + ".json", SCHEMA_SNAPSHOT)
-    for key, kinds in _SNAPSHOT_FIELDS.items():
-        if not _typed(doc.get(key), kinds):
-            raise InputError(f"{path_base}.json: {key} is missing or of "
-                             f"the wrong type ({doc.get(key)!r})")
-    if not _is_power_of_two(doc["n_grid"]):
+    the wrong kind, or an ``n_grid`` no field has is an InputError."""
+    fields, doc = read_document(f"{path_base}.json", SCHEMA_SNAPSHOT)
+    if not _is_power_of_two(fields["n_grid"]):
         raise InputError(f"{path_base}.json: n_grid must be a power of two")
-    try:
-        time_tag = None if doc.get("time") is None else float(doc["time"])
-    except OverflowError as exc:
-        raise DomainError(f"{path_base}.json: time: {exc}") from exc
-    return SnapshotFile(str(path_base), doc["n_grid"], time_tag, doc)
+    return SnapshotFile(str(path_base), fields["n_grid"], fields["time"], doc)
 
 
 def load_snapshot(source) -> GridField:
@@ -301,7 +336,7 @@ def load_snapshot(source) -> GridField:
     try:
         fld = GridField(data.reshape(comps, n, n, n),
                         float(snap.sidecar["box_size"]), snap.time_tag)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InputError(f"{snap.base}: {exc}") from exc
     fld.meta["basis_id"] = snap.sidecar.get("basis_id", "")
     return fld

@@ -93,21 +93,17 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
             "manifest_digest": manifest_digest}
 
 
-def load_basis_config(path):
-    doc = iomod.load_json(path, iomod.SCHEMA_BASIS)
+def _build(factory, fields: dict):
+    """``factory(**fields)``; a value out of range is a DomainError."""
     try:
-        kwargs = {
-            "lam": float(doc["lambda"]),
-            "n_grid": int(doc["n_grid"]),
-            "n_window": tuple(int(v) for v in doc["n_window"]),
-            "base_scale": float(doc.get("base_scale", 4.0)),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise iomod.InputError(f"basis config incomplete: {exc}") from exc
-    try:
-        return _deferred("build_wavelet_basis")(**kwargs)
+        return factory(**fields)
     except ValueError as exc:
         raise iomod.DomainError(str(exc)) from exc
+
+
+def load_basis_config(path):
+    fields, _ = iomod.read_document(path, iomod.SCHEMA_BASIS)
+    return _build(_deferred("build_wavelet_basis"), fields)
 
 
 def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
@@ -158,13 +154,18 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
 
     written = []  # (path base, sidecar document) per snapshot
     max_roundtrip = 0.0
-    for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
-        max_roundtrip = max(max_roundtrip, err)
-        base = os.path.join(out_dir, f"snapshot_{idx:04d}")
-        _, sidecar = iomod.save_snapshot(
-            fld, base, basis_id=basis.basis_id,
-            extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
-        written.append((base, sidecar))
+    try:
+        for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
+            max_roundtrip = max(max_roundtrip, err)
+            base = os.path.join(out_dir, f"snapshot_{idx:04d}")
+            _, sidecar = iomod.save_snapshot(
+                fld, base, basis_id=basis.basis_id,
+                extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
+            written.append((base, sidecar))
+    except BaseException:  # leave no .raw file without a sidecar and manifest
+        for base, _ in written:
+            os.remove(base + ".raw")
+        raise
 
     manifest.outputs = [base + ".raw" for base, _ in written]
     manifest.parameters["max_roundtrip_error"] = max_roundtrip
@@ -177,44 +178,18 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
             "manifest_digest": manifest_digest}
 
 
-#: optional RegularityParams fields a params document may carry
-_OPTIONAL_PARAMS = {"nuclear_depth": int, "window_exponent": int,
-                    "exponent_offset": float, "window_base": float,
-                    "vitali_pre_dilation": float}
-
-
 def load_regularity_params(path) -> tuple[RegularityParams, dict]:
-    """Params and the document; a field that does not convert is an
-    InputError, a value too large or out of range a DomainError."""
-    doc = iomod.load_json(path, iomod.SCHEMA_PARAMS)
-    try:
-        fields = {name: float(doc[name])
-                  for name in ("alpha", "epsilon", "gamma", "K_threshold")}
-        fields.update({name: kind(doc[name])
-                       for name, kind in _OPTIONAL_PARAMS.items()
-                       if doc.get(name) is not None})
-    except KeyError as exc:
-        raise iomod.InputError(f"params document missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise iomod.InputError(f"params document: {exc}") from exc
-    except OverflowError as exc:
-        raise iomod.DomainError(f"params document: {exc}") from exc
-    try:
-        return _deferred("RegularityParams")(**fields), doc
-    except ValueError as exc:
-        raise iomod.DomainError(str(exc)) from exc
+    """Params and the document, whose ``levels`` the params do not hold."""
+    fields, doc = iomod.read_document(path, iomod.SCHEMA_PARAMS)
+    del fields["levels"]
+    return _build(_deferred("RegularityParams"), fields), doc
 
 
 def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     """Classify cubes across levels and write the covering report."""
     start = time.monotonic()
     params, doc = load_regularity_params(params_path)
-    levels = doc.get("levels", [2, 3, 4, 5])
-    if not isinstance(levels, list) or not all(
-            isinstance(j, int) and not isinstance(j, bool) for j in levels) or (
-            len(set(levels)) != len(levels)):
-        raise iomod.InputError(f"{params_path}: levels must be a list of "
-                               f"distinct integers, got {levels!r}")
+    levels = doc["levels"]
 
     bases = sorted(
         os.path.join(snapshot_dir, name[:-5])

@@ -321,22 +321,43 @@ class TestCLI:
         assert by_level[3]["vitali_count"] >= 1
 
 
-def _simulate_with(integrator, t_end="0.01", kappa=None):
-    """Simulate argv; ``kappa`` is written as raw JSON text when given."""
+DROP = object()  # a document edit that deletes the field
+
+DYADIC_ROWS = [[1, 1, 1, 0, 0, 1, 1.0], [1, 1, 1, 0, 1, 0, -0.5],
+               [1, 1, 1, 1, 0, 0, -0.5]]
+
+
+def _edit_json(path, fields):
+    """Set each of ``fields`` in the JSON document at ``path``; a value of
+    ``DROP`` deletes the field."""
+    doc = json.loads(path.read_text())
+    for key, value in fields.items():
+        if value is DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    iomod.dump_json(doc, path)
+
+
+def _simulate_with(integrator, t_end="0.01", kappa=None, config=None):
+    """Simulate argv; ``config`` edits the document, and ``kappa`` is
+    written as raw JSON text when given."""
     def argv(tmp_path):
-        config = write_config(tmp_path / "c.json", integrator=integrator)
+        path = write_config(tmp_path / "c.json", integrator=integrator)
+        _edit_json(path, config or {})
         if kappa is not None:
-            config.write_text(config.read_text().replace(
+            path.write_text(path.read_text().replace(
                 '"kappa": 1.0', f'"kappa": {kappa}'))
-        return ["simulate", "--config", str(config), "--t-end", t_end,
+        return ["simulate", "--config", str(path), "--t-end", t_end,
                 "--out", str(tmp_path / "traj.csv")]
     return argv
 
 
-def _synthesize_with(drop_sidecar_key=None, edit=None):
+def _synthesize_with(drop_sidecar_key=None, edit=None, basis=None):
     """Synthesize argv over a simulated trajectory.  ``drop_sidecar_key``
     is deleted from its sidecar; ``edit`` changes its CSV rows (lists of
-    fields, header excluded) in place and returns the time to synthesize."""
+    fields, header excluded) in place and returns the times to synthesize;
+    ``basis`` edits the basis config."""
     def argv(tmp_path):
         config = write_config(tmp_path / "c.json",
                               integrator={"initial": {"X_1_0": 1.0}})
@@ -345,18 +366,17 @@ def _synthesize_with(drop_sidecar_key=None, edit=None):
               "--out", str(traj)])
         t = "0.01"
         if drop_sidecar_key is not None:
-            sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
-            del sidecar[drop_sidecar_key]
-            iomod.dump_json(sidecar, f"{traj}.json")
+            _edit_json(tmp_path / "traj.csv.json", {drop_sidecar_key: DROP})
         if edit is not None:
             header, *lines = traj.read_text().splitlines()
             rows = [line.split(",") for line in lines]
             t = edit(rows)
             traj.write_text("\n".join([header] + [",".join(r) for r in rows])
                             + "\n")
-        basis = write_basis_config(tmp_path / "basis.json")
+        path = write_basis_config(tmp_path / "basis.json")
+        _edit_json(path, basis or {})
         return ["synthesize", "--trajectory", str(traj), "--basis-config",
-                str(basis), "--times", t, "--out-dir", str(tmp_path / "snaps")]
+                str(path), "--times", t, "--out-dir", str(tmp_path / "snaps")]
     return argv
 
 
@@ -375,6 +395,13 @@ def _times_swapped(rows):
     return rows[2][0]
 
 
+def _third_time_overflows(rows):
+    """Times t0, t1 and (t1 + t2) / 2, where only the last overflows."""
+    rows[2][1] = "1e308"
+    mid = repr((float(rows[1][0]) + float(rows[2][0])) / 2.0)
+    return ",".join([rows[0][0], rows[1][0], mid])
+
+
 def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
                   grids=(8, 8, 8)):
     def argv(tmp_path):
@@ -387,13 +414,85 @@ def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
             sidecar.pop(drop_sidecar_key, None)
             iomod.dump_json(sidecar, f"{base}.json")
         path = write_params(tmp_path / "params.json")
-        doc = json.loads(path.read_text())
-        doc.update(params or {})
-        iomod.dump_json(doc, path)
+        _edit_json(path, params or {})
         return ["analyze", "--snapshots", str(snap_dir), "--params", str(path),
                 "--out", str(tmp_path / "report.json")]
     return argv
 
+
+def _at_path(make_argv, flag, target, file=None, directory=None):
+    """``make_argv`` with the value of ``flag`` set to ``tmp_path / target``;
+    ``file`` and ``directory`` name paths made first under ``tmp_path``."""
+    def argv(tmp_path):
+        args = make_argv(tmp_path)
+        if file:
+            (tmp_path / file).write_text("")
+        if directory:
+            (tmp_path / directory).mkdir()
+        args[args.index(flag) + 1] = str(tmp_path / target)
+        return args
+    return argv
+
+
+def _simulate_with_row(row):
+    """Simulate argv whose tensor's first dyadic row is replaced by ``row``."""
+    return _simulate_with({}, config={"tensor": [row] + DYADIC_ROWS[1:]})
+
+
+#: a field missing or of the wrong JSON kind: id -> (argv, document, field)
+WRONG_KIND = {
+    "config-n-max-fractional": (
+        _simulate_with({}, config={"n_max": 7.9}), "c.json", "n_max"),
+    "config-tensor-offset-fractional": (
+        _simulate_with_row([1, 1, 1, 0, 0, 1.5, 1.0]), "c.json", "tensor"),
+    "config-alpha-a-bool": (
+        _simulate_with({}, config={"alpha": True}), "c.json", "alpha"),
+    "config-lambda-a-string": (
+        _simulate_with({}, config={"lambda": "2"}), "c.json", "lambda"),
+    "config-kappa-a-string": (
+        _simulate_with({}, config={"kappa": "50"}), "c.json", "kappa"),
+    "config-n-min-a-string": (
+        _simulate_with({}, config={"n_min": "0"}), "c.json", "n_min"),
+    "config-tensor-value-a-string": (
+        _simulate_with({}, config={"tensor": [[1, 1, 1, 0, 0, 1, "x"]]}),
+        "c.json", "tensor"),
+    "config-tensor-value-a-bool": (
+        _simulate_with_row([1, 1, 1, 0, 0, 1, True]), "c.json", "tensor"),
+    "config-without-tensor": (
+        _simulate_with({}, config={"tensor": DROP}), "c.json", "tensor"),
+    "config-without-kappa": (
+        _simulate_with({}, config={"kappa": DROP}), "c.json", "kappa"),
+    "basis-window-one-shell": (
+        _synthesize_with(basis={"n_window": [0]}), "basis.json", "n_window"),
+    "basis-n-grid-fractional": (
+        _synthesize_with(basis={"n_grid": 32.5}), "basis.json", "n_grid"),
+    "basis-window-fractional": (
+        _synthesize_with(basis={"n_window": [0, 1.5]}), "basis.json",
+        "n_window"),
+    "basis-window-three-shells": (
+        _synthesize_with(basis={"n_window": [0, 1, 9]}), "basis.json",
+        "n_window"),
+    "basis-window-strings": (
+        _synthesize_with(basis={"n_window": ["0", "1"]}), "basis.json",
+        "n_window"),
+    "basis-base-scale-a-string": (
+        _synthesize_with(basis={"base_scale": "4"}), "basis.json",
+        "base_scale"),
+    "basis-without-base-scale": (
+        _synthesize_with(basis={"base_scale": DROP}), "basis.json",
+        "base_scale"),
+    "params-nuclear-depth-fractional": (
+        _analyze_with({"nuclear_depth": 2.9}), "params.json", "nuclear_depth"),
+    "params-window-exponent-a-string": (
+        _analyze_with({"window_exponent": "10"}), "params.json",
+        "window_exponent"),
+    "params-alpha-a-string": (
+        _analyze_with({"alpha": "1.0"}), "params.json", "alpha"),
+    "params-gamma-a-bool": (
+        _analyze_with({"gamma": True}), "params.json", "gamma"),
+    "params-without-levels": (
+        _analyze_with({"levels": DROP}), "params.json", "levels"),
+}
 
 MALFORMED_INPUT = [
     pytest.param(_simulate_with({"bogus": 1.0}), 2, id="integrator-unknown-key"),
@@ -439,6 +538,24 @@ MALFORMED_INPUT = [
                  id="trajectory-amplitude-overflows-synthesis"),
     pytest.param(_synthesize_with(edit=_times_swapped), 2,
                  id="trajectory-times-not-increasing"),
+    *(pytest.param(make_argv, 2, id=name)
+      for name, (make_argv, _, _) in WRONG_KIND.items()),
+    pytest.param(_simulate_with({}, config={"lambda": 5.0}), 1,
+                 id="config-lambda-out-of-range"),
+    pytest.param(_analyze_with({"vitali_pre_dilation": 0.5}), 1,
+                 id="params-vitali-pre-dilation-below-one"),
+    pytest.param(_simulate_with({}, config={"lambda": 10 ** 400}), 1,
+                 id="config-lambda-integer-too-large"),
+    pytest.param(_simulate_with_row([1, 1, 1, 0, 0, 1, 10 ** 400]), 1,
+                 id="config-tensor-value-integer-too-large"),
+    pytest.param(_at_path(_analyze_with(), "--snapshots", "missing"), 2,
+                 id="analyze-snapshot-dir-missing"),
+    pytest.param(_at_path(_simulate_with({}), "--out", "out",
+                          directory="out"), 2, id="simulate-out-a-directory"),
+    pytest.param(_at_path(_synthesize_with(), "--out-dir", "out", file="out"),
+                 2, id="synthesize-out-dir-a-file"),
+    pytest.param(_at_path(_analyze_with(), "--out", "out/report.json",
+                          file="out"), 2, id="analyze-out-under-a-file"),
 ]
 
 
@@ -452,6 +569,39 @@ def test_malformed_input_exits_without_traceback(tmp_path, make_argv, code):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("make_argv, document, field", [
+    pytest.param(*case, id=name) for name, case in WRONG_KIND.items()])
+def test_wrong_kind_names_document_and_field(tmp_path, capsys, make_argv,
+                                             document, field):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{document}: {field} " in capsys.readouterr().err
+
+
+def test_failed_synthesize_leaves_no_raw_file(tmp_path):
+    argv = _synthesize_with(edit=_third_time_overflows)(tmp_path)
+    assert main(argv) == 1
+    assert not list((tmp_path / "snaps").glob("*.raw"))
+
+
+def test_integer_valued_numbers_keep_their_digests(tmp_path):
+    from cascadelab import pipeline
+    config = tmp_path / "c.json"
+    digests = []
+    for lam in (2, 2.0):
+        write_config(config, lam=lam, integrator={"initial": {"X_1_0": 1.0}})
+        out = tmp_path / repr(lam) / "traj.csv"
+        assert main(["simulate", "--config", str(config), "--t-end", "0.01",
+                     "--out", str(out)]) == 0
+        digests.append(json.loads((out.parent / "manifest.json").read_text())
+                       ["digest"])
+    assert digests[0] == digests[1]
+    basis_ids = {pipeline.load_basis_config(write_basis_config(
+        tmp_path / "b.json", base_scale=scale)).basis_id for scale in (5, 5.0)}
+    assert len(basis_ids) == 1
 
 
 @pytest.mark.parametrize("setup, named", [
