@@ -5,10 +5,9 @@ Three layers:
 * cascade dynamics  -- coefficient tensors with symmetry/cancellation
   constraints, the truncated shell ODE, an embedded adaptive integrator
   with a blowup guard, energy/scaling diagnostics;
-* spectral toolkit  -- Littlewood-Paley band projections, fractional
-  Laplacian, Leray projection, a divergence-free zero-momentum wavelet
-  basis, field synthesis, the grid cascade operator and its band split,
-  constructive divergence potentials;
+* spectral toolkit  -- Littlewood-Paley band projections, a
+  divergence-free zero-momentum wavelet basis, field synthesis, the grid
+  cascade operator and its band split, constructive divergence potentials;
 * regularity analyzer -- cube hierarchies, graded cutoffs, nuclear
   families, per-cube badness classification, Vitali covering, and the
   box-counting dimension estimate.
@@ -28,12 +27,12 @@ _EXPORTS = dict(
             "energy_balance_residual nonlinear_energy_flux rescale_trajectory "
             "state_from_entries timescale_ratio total_energy",
     cubes="BumpProfile CubeId LevelResolutionError cube_hierarchy nuclear_family vitali_cover",
-    grid="GridField plane_wave zero_field",
+    grid="GridField",
     operator="apply_cascade_operator paraproduct_split",
     potentials="NonzeroMomentumError divergence_potential",
     regularity="CoefficientCache CoveringReport CubeRecord RegularityParams analyze_snapshots "
-               "dimension_estimate local_dissipation_check",
-    spectral="BandRangeError LPPartition fractional_laplacian leray_project lp_project",
+               "dimension_estimate",
+    spectral="BandRangeError LPPartition lp_project",
     tensor="CoefficientTensor TensorKeyError ValidationReport dyadic_cascade_tensor "
            "random_valid_tensor validate_tensor",
     wavelets="BasisGeometryError UnresolvedShellError WaveletBasis build_wavelet_basis "

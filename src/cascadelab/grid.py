@@ -44,6 +44,15 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def radial_bump(r: np.ndarray) -> np.ndarray:
+    """Compactly supported mollifier profile exp(-1/(1-r^2)) on |r| < 1."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+    return out
+
+
 @dataclass
 class GridField:
     """Real field on the periodic grid; ``data`` has shape (c, N, N, N)."""
@@ -81,16 +90,8 @@ class GridField:
     def cell_volume(self) -> float:
         return (self.box_size / self.n_grid) ** 3
 
-    def copy(self) -> "GridField":
-        return GridField(self.data.copy(), self.box_size, self.time_tag, dict(self.meta))
-
     def like(self, data: np.ndarray) -> "GridField":
         return GridField(data, self.box_size, self.time_tag)
-
-
-def zero_field(n_grid: int, box_size: float = 2.0 * np.pi,
-               n_components: int = 3) -> GridField:
-    return GridField(np.zeros((n_components, n_grid, n_grid, n_grid)), box_size)
 
 
 def wave_vectors(n_grid: int, box_size: float,
@@ -126,14 +127,9 @@ def fft_field(fld: GridField) -> np.ndarray:
     return np.fft.fftn(fld.data, axes=(1, 2, 3))
 
 
-def ifft_field(spectrum: np.ndarray, like: GridField) -> GridField:
-    out = np.fft.ifftn(spectrum, axes=(1, 2, 3)).real
-    return like.like(out)
-
-
 def apply_symbol(fld: GridField, symbol: np.ndarray) -> GridField:
     """Multiply the spectrum componentwise by a real symbol array."""
-    return ifft_field(fft_field(fld) * symbol, fld)
+    return fld.like(np.fft.ifftn(fft_field(fld) * symbol, axes=(1, 2, 3)).real)
 
 
 def l2_norm(fld: GridField) -> float:
@@ -178,16 +174,3 @@ def spectral_gradient_norm(fld: GridField) -> float:
     for comp in hat:
         total += np.sum((kx ** 2 + ky ** 2 + kz ** 2) * np.abs(comp) ** 2)
     return float(np.sqrt(total * fld.box_size ** 3 / n6))
-
-
-def plane_wave(n_grid: int, box_size: float, mode: tuple[int, int, int],
-               component: int = 0, phase: float = 0.0) -> GridField:
-    """Real plane wave cos(xi . x + phase) in one vector component."""
-    n = n_grid
-    axes = [np.arange(n) * (box_size / n)] * 3
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    scale = 2.0 * np.pi / box_size
-    arg = scale * (mode[0] * xx + mode[1] * yy + mode[2] * zz) + phase
-    data = np.zeros((3, n, n, n))
-    data[component] = np.cos(arg)
-    return GridField(data, box_size)

@@ -150,12 +150,18 @@ def read_fields(doc: dict, table: dict, where) -> dict:
 
 
 def dump_json(doc: dict, path):
-    """Write a document atomically: a crash leaves the old file or the new one."""
+    """Write a document atomically: a crash leaves the old file or the new one,
+    and a failed write or rename leaves no temporary file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each ``run_*`` function is deterministic given identical inputs, writes a
 run manifest next to its outputs, and stamps every sidecar with the
 manifest digest so outputs can be traced to the invocation that produced
-them.
+them.  The digest covers no output, so it is taken first; the manifest is
+written last, only once every output is in place.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ def _deferred(name: str):
 __getattr__ = _deferred
 
 
-def _finish_manifest(manifest: iomod.RunManifest, out_dir: str,
-                     start: float) -> str:
+def _write_manifest(manifest: iomod.RunManifest, out_dir: str,
+                    start: float) -> None:
     manifest.wall_time_s = time.monotonic() - start
-    digest = manifest.digest
     doc = manifest.to_dict()
-    doc["digest"] = digest
+    doc["digest"] = manifest.digest
     iomod.dump_json(doc, os.path.join(out_dir, "manifest.json"))
-    return digest
 
 
 def run_validate(config_path) -> tuple[int, str]:
@@ -83,10 +82,11 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
                                  {"t_end": t_end, "integrator": integrator,
                                   "initial": initial_entries},
                                  [str(config_path)], [str(out_path)], 0.0)
-    manifest_digest = _finish_manifest(manifest, out_dir, start)
+    manifest_digest = manifest.digest
     iomod.save_trajectory_csv(trajectory, config, out_path, sidecar={
         "config_digest": digest, "manifest_digest": manifest_digest,
         "integrator_stats": trajectory.integrator_stats})
+    _write_manifest(manifest, out_dir, start)
     return {"status": trajectory.status,
             "blowup_time_estimate": trajectory.blowup_time_estimate,
             "n_samples": len(trajectory.times),
@@ -153,26 +153,30 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                 f"{trajectory_path} at time {job[-1]}: {exc}") from exc
 
     written = []  # (path base, sidecar document) per snapshot
+    files = []  # every file this run has written
     max_roundtrip = 0.0
     try:
         for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
             max_roundtrip = max(max_roundtrip, err)
             base = os.path.join(out_dir, f"snapshot_{idx:04d}")
-            _, sidecar = iomod.save_snapshot(
+            raw_path, sidecar = iomod.save_snapshot(
                 fld, base, basis_id=basis.basis_id,
                 extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
+            files.append(raw_path)
             written.append((base, sidecar))
-    except BaseException:  # leave no .raw file without a sidecar and manifest
-        for base, _ in written:
-            os.remove(base + ".raw")
-        raise
 
-    manifest.outputs = [base + ".raw" for base, _ in written]
-    manifest.parameters["max_roundtrip_error"] = max_roundtrip
-    manifest_digest = _finish_manifest(manifest, out_dir, start)
-    for base, sidecar in written:  # written once, with the final digest
-        sidecar["manifest_digest"] = manifest_digest
-        iomod.dump_json(sidecar, f"{base}.json")
+        manifest.outputs = [base + ".raw" for base, _ in written]
+        manifest.parameters["max_roundtrip_error"] = max_roundtrip
+        manifest_digest = manifest.digest
+        for base, sidecar in written:  # written once, with the final digest
+            sidecar["manifest_digest"] = manifest_digest
+            iomod.dump_json(sidecar, f"{base}.json")
+            files.append(f"{base}.json")
+        _write_manifest(manifest, out_dir, start)
+    except BaseException:  # leave no snapshot file without a manifest
+        for path in files:
+            os.remove(path)
+        raise
     return {"written": [base for base, _ in written],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
@@ -218,7 +222,7 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     manifest = iomod.RunManifest(
         "analyze", iomod.canonical_digest(doc), {"levels": levels},
         [str(params_path)] + [b + ".raw" for b in bases], [str(out_path)], 0.0)
-    manifest_digest = _finish_manifest(manifest, out_dir, start)
+    manifest_digest = manifest.digest
 
     doc_out = report.to_dict()
     doc_out["schema"] = iomod.SCHEMA_REPORT
@@ -232,5 +236,6 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
         for row in report.per_level:
             if row.vitali_count > 0:
                 fh.write(f"{row.j},{repr(float(np.log2(row.vitali_count)))}\n")
+    _write_manifest(manifest, out_dir, start)
     return {"report": doc_out, "plot_csv": plot_path,
             "manifest_digest": manifest_digest}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, radial_bump
 
 #: largest accepted ``|int psi|``, relative to ``||psi||_2 * box^{3/2}``
 MOMENTUM_TOL = 1e-10
@@ -43,16 +43,7 @@ def cumulative(arr: np.ndarray, axis: int, step: float) -> np.ndarray:
 
 def backward_diff(arr: np.ndarray, axis: int, step: float) -> np.ndarray:
     """Backward difference with a zero ghost layer; exact inverse of cumulative."""
-    out = np.empty_like(arr)
-    lead = [slice(None)] * arr.ndim
-    lead[axis] = slice(0, 1)
-    out[tuple(lead)] = arr[tuple(lead)]
-    rest = [slice(None)] * arr.ndim
-    rest[axis] = slice(1, None)
-    prev = [slice(None)] * arr.ndim
-    prev[axis] = slice(0, -1)
-    out[tuple(rest)] = arr[tuple(rest)] - arr[tuple(prev)]
-    return out / step
+    return np.diff(arr, axis=axis, prepend=0.0) / step
 
 
 def backward_divergence(fld: GridField) -> np.ndarray:
@@ -66,13 +57,8 @@ def backward_divergence(fld: GridField) -> np.ndarray:
 
 
 def default_z_profile(n_grid: int) -> np.ndarray:
-    """Smooth compactly supported profile along z, centered in the box."""
-    t = (np.arange(n_grid) + 0.5) / n_grid          # (0, 1)
-    r = (t - 0.5) / 0.3                              # support in the middle 60%
-    out = np.zeros(n_grid)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
+    """Mollifier bump along z, supported in the middle 60% of the box."""
+    return radial_bump(((np.arange(n_grid) + 0.5) / n_grid - 0.5) / 0.3)
 
 
 def divergence_potential(psi: GridField,

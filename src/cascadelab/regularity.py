@@ -34,15 +34,15 @@ pool size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
-from .grid import GridField, apply_symbol, map_snapshots, wave_magnitude
-from .spectral import LPPartition, chi_profile, fractional_symbol
+from .grid import GridField, map_snapshots, wave_magnitude
+from .spectral import LPPartition, chi_profile
 
 VERDICT_BAD = "mildly_bad"
 VERDICT_REGULAR = "regular"
@@ -97,13 +97,7 @@ class RegularityParams:
         return 5.0 - 4.0 * self.alpha + 100.0 * self.epsilon + self.gamma
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "epsilon": self.epsilon, "gamma": self.gamma,
-            "K_threshold": self.K_threshold, "nuclear_depth": self.nuclear_depth,
-            "window_exponent": self.window_exponent,
-            "exponent_offset": self.offset, "window_base": self.window_base,
-            "vitali_pre_dilation": self.vitali_pre_dilation,
-        }
+        return dict(asdict(self), exponent_offset=self.offset)
 
 
 @dataclass
@@ -124,7 +118,7 @@ class CubeRecord:
 class CoefficientCache:
     """Lattices of cube coefficients across snapshots, levels, and bands.
 
-    ``table(s, level, band)`` returns the array (lattice-shaped) of
+    ``table(level, band)`` returns the (snapshots, m, m, m) array of
     ``|| phi_{Q,level} P_band u(t_s) ||_2`` over all level cubes.  Bands
     beyond the resolvable range give zeros and are recorded in
     ``unresolved_bands``.  Snapshots are fields, or files read only in
@@ -229,9 +223,10 @@ class CoefficientCache:
                 for p in range(self.n_grid // side)])
         return self._weights[level]
 
-    def table(self, s: int, level: int, band: int) -> np.ndarray:
+    def table(self, level: int, band: int) -> np.ndarray:
+        """The (snapshots, m, m, m) coefficient table of one (level, band)."""
         self.fill([(level, band)])
-        return self._tables[level, band][s]
+        return self._tables[level, band]
 
     def level_pairs(self, level: int, depth: int) -> set[tuple[int, int]]:
         """(level, band) tables classifying ``level`` reads: bands ``level`` and
@@ -257,9 +252,8 @@ class CoefficientCache:
             total = 0.0
             for level_l, member in members.items():
                 member = member.astype(float)
-                total = total + np.array([
-                    _separable_sum(member, self.table(s, level_l, level_l) ** 2)
-                    for s in range(len(self.snapshots))])
+                total = total + np.array([_separable_sum(member, row) for row
+                                          in self.table(level_l, level_l) ** 2])
             self._family_sq[key] = total
         return self._family_sq[key]
 
@@ -363,10 +357,8 @@ def _level_badness(cache: CoefficientCache, j: int,
 
     term2 = 0.0
     for k in range(j, cache.partition.j_max + 1):
-        series = np.array([cache.table(s, j, k) ** 2
-                           for s in range(len(cache.snapshots))])
         term2 = term2 + 2.0 ** (2.0 * params.alpha * k) * np.trapezoid(
-            series, times, axis=0)
+            cache.table(j, k) ** 2, times, axis=0)
     return term1 + term2
 
 
@@ -411,9 +403,7 @@ class LevelSummary:
     covering_count: int
 
     def to_dict(self) -> dict:
-        return {"j": self.j, "tiling_count": self.tiling_count,
-                "bad_count": self.bad_count, "vitali_count": self.vitali_count,
-                "covering_count": self.covering_count}
+        return asdict(self)
 
 
 @dataclass
@@ -490,38 +480,3 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
         d_est, residual = None, None
         notes.append(f"dimension estimate unavailable: {exc}")
     return CoveringReport(params, rows, d_est, residual, notes, dict(cache.stats))
-
-
-# ---------------------------------------------------------------------------
-# dissipation pairing diagnostic
-
-
-def local_dissipation_check(fld: GridField, cube: CubeId, j: int, alpha: float,
-                            partition: LPPartition | None = None
-                            ) -> tuple[float, tuple[float, float, float]]:
-    """Pairing ``<(-Delta)^alpha u, P_j phi^2 P_j u>`` and its bound terms.
-
-    The returned triple is ``(2**(2 alpha j) u_Q^2,
-    2**((2 alpha - eps) j) sum_{N^1(Q)} u_{Q'}^2, 2**(-100 j))``; fitting an
-    empirical constant K against ``pairing >= K (t1 - t2 - t3)`` is the
-    caller's business.  All frequencies are box-relative mode units.
-    """
-    if partition is None:
-        partition = mode_partition(fld.n_grid)
-    partition.check(j)
-    band = partition.symbol(j, mode_radii(fld.n_grid))
-    phi = BumpProfile(cube, fld.n_grid, type_j=j).sample()
-    proj = apply_symbol(fld, band)
-    localized = GridField(phi ** 2 * proj.data, fld.box_size)
-    inner_field = apply_symbol(localized, band)
-    frac = apply_symbol(fld, fractional_symbol(mode_radii(fld.n_grid), alpha))
-    pairing = float(np.sum(frac.data * inner_field.data) * fld.cell_volume)
-
-    u_q = float(np.sqrt(np.sum(phi ** 2 * np.sum(proj.data ** 2, axis=0))
-                        * fld.cell_volume))
-    t1 = 2.0 ** (2.0 * alpha * j) * u_q ** 2
-    cache = CoefficientCache([GridField(fld.data, fld.box_size, 0.0)], cube.epsilon)
-    neighbor = float(cache.family_sq(cube.j, 1)[(0,) + cube.corner])
-    t2 = 2.0 ** ((2.0 * alpha - cube.epsilon) * j) * neighbor
-    t3 = 2.0 ** (-100.0 * j)
-    return pairing, (t1, t2, t3)

@@ -1,4 +1,4 @@
-"""Littlewood-Paley band projections and basic spectral multipliers.
+"""Littlewood-Paley band projections.
 
 The band symbols are built telescopically from a single smooth radial
 profile ``chi`` that equals 1 below 4/3 and 0 above 3:
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridField, apply_symbol, fft_field, ifft_field,
-                   nyquist, wave_magnitude, wave_vectors)
+from .grid import GridField, apply_symbol, nyquist, wave_magnitude
 
 
 def smoothstep(t):
@@ -104,40 +103,3 @@ def lp_project(fld: GridField, j: int, partition: LPPartition | None = None,
     radii = wave_magnitude(fld.n_grid, fld.box_size)
     sym = partition.wide_symbol(j, radii) if widen else partition.symbol(j, radii)
     return apply_symbol(fld, sym)
-
-
-def fractional_symbol(radii: np.ndarray, alpha: float) -> np.ndarray:
-    """Weight ``|xi|**(2 alpha)`` on an array of radii; the zero mode maps to zero."""
-    weight = np.zeros_like(radii)
-    nz = radii > 0
-    weight[nz] = radii[nz] ** (2.0 * alpha)
-    return weight
-
-
-def fractional_laplacian(fld: GridField, alpha: float) -> GridField:
-    """Spectral multiplier |xi|**(2 alpha); the zero mode maps to zero."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    radii = wave_magnitude(fld.n_grid, fld.box_size)
-    return apply_symbol(fld, fractional_symbol(radii, alpha))
-
-
-def leray_project(fld: GridField) -> GridField:
-    """Per-mode orthogonal projection onto divergence-free fields.
-
-    The zero mode (mean flow) is left unchanged.  Idempotent; gradient
-    fields map to their mean.
-    """
-    if fld.n_components != 3:
-        raise ValueError("Leray projection needs a 3-component field")
-    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size, zero_nyquist=True)
-    ksq = kx ** 2 + ky ** 2 + kz ** 2
-    inv = np.zeros_like(ksq)
-    nz = ksq > 0
-    inv[nz] = 1.0 / ksq[nz]
-    hat = fft_field(fld)
-    kdot = kx * hat[0] + ky * hat[1] + kz * hat[2]
-    hat[0] -= kx * kdot * inv
-    hat[1] -= ky * kdot * inv
-    hat[2] -= kz * kdot * inv
-    return ifft_field(hat, fld)

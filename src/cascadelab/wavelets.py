@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridField, _is_power_of_two
+from .grid import GridField, _is_power_of_two, radial_bump
 
 #: shells must stay inside this fraction of the Nyquist frequency
 NYQUIST_MARGIN = 0.98
@@ -58,15 +58,6 @@ class BasisGeometryError(ValueError):
 
 class UnresolvedShellError(ValueError):
     """A requested shell has no resolvable grid modes (or exceeds Nyquist)."""
-
-
-def radial_bump(r: np.ndarray) -> np.ndarray:
-    """Compactly supported mollifier profile exp(-1/(1-r^2)) on |r| < 1."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
 
 
 def _polarization(direction: np.ndarray) -> np.ndarray:

@@ -3,11 +3,10 @@
 import numpy as np
 
 from cascadelab.cubes import BumpProfile, CubeId
-from cascadelab.grid import GridField, apply_symbol, fft_field, wave_magnitude
+from cascadelab.grid import GridField, apply_symbol
 from cascadelab.regularity import (VERDICT_BAD, CoefficientCache,
                                    RegularityParams, classify_level_records,
                                    mode_partition, mode_radii)
-from cascadelab.spectral import fractional_symbol
 
 
 def band_project(fld: GridField, k: int, partition=None) -> GridField:
@@ -43,9 +42,19 @@ def classify_level(snapshots, j: int, params: RegularityParams,
             if r.verdict == VERDICT_BAD}
 
 
-def fractional_energy(fld: GridField, alpha: float) -> float:
-    """Homogeneous energy ``sum |xi|**(2 alpha) |u_hat|**2`` (Parseval form)."""
-    weight = fractional_symbol(wave_magnitude(fld.n_grid, fld.box_size), alpha)
-    hat = fft_field(fld)
-    total = float(np.sum(weight * np.sum(np.abs(hat) ** 2, axis=0)))
-    return total * fld.box_size ** 3 / fld.n_grid ** 6
+def zero_field(n_grid: int, box_size: float = 2.0 * np.pi,
+               n_components: int = 3) -> GridField:
+    return GridField(np.zeros((n_components, n_grid, n_grid, n_grid)), box_size)
+
+
+def plane_wave(n_grid: int, box_size: float, mode: tuple[int, int, int],
+               component: int = 0, phase: float = 0.0) -> GridField:
+    """Real plane wave cos(xi . x + phase) in one vector component."""
+    n = n_grid
+    axes = [np.arange(n) * (box_size / n)] * 3
+    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
+    scale = 2.0 * np.pi / box_size
+    arg = scale * (mode[0] * xx + mode[1] * yy + mode[2] * zz) + phase
+    data = np.zeros((3, n, n, n))
+    data[component] = np.cos(arg)
+    return GridField(data, box_size)

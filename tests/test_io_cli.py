@@ -395,6 +395,10 @@ def _times_swapped(rows):
     return rows[2][0]
 
 
+def _first_three_times(rows):
+    return ",".join(row[0] for row in rows[:3])
+
+
 def _third_time_overflows(rows):
     """Times t0, t1 and (t1 + t2) / 2, where only the last overflows."""
     rows[2][1] = "1e308"
@@ -428,7 +432,7 @@ def _at_path(make_argv, flag, target, file=None, directory=None):
         if file:
             (tmp_path / file).write_text("")
         if directory:
-            (tmp_path / directory).mkdir()
+            (tmp_path / directory).mkdir(parents=True)
         args[args.index(flag) + 1] = str(tmp_path / target)
         return args
     return argv
@@ -585,6 +589,26 @@ def test_failed_synthesize_leaves_no_raw_file(tmp_path):
     argv = _synthesize_with(edit=_third_time_overflows)(tmp_path)
     assert main(argv) == 1
     assert not list((tmp_path / "snaps").glob("*.raw"))
+
+
+@pytest.mark.parametrize("make_argv, blocker", [
+    pytest.param(_at_path(_simulate_with({}), "--out", "d/traj.csv",
+                          directory="d/traj.csv"), "d/traj.csv",
+                 id="simulate-csv-a-directory"),
+    pytest.param(_at_path(_synthesize_with(edit=_first_three_times), "--out-dir",
+                          "snaps", directory="snaps/snapshot_0001.json"),
+                 "snaps/snapshot_0001.json", id="synthesize-sidecar-a-directory"),
+    pytest.param(_at_path(_analyze_with(), "--out", "r/report.json",
+                          directory="r/report.json"), "r/report.json",
+                 id="analyze-report-a-directory"),
+])
+def test_failed_write_leaves_no_file_of_the_run(tmp_path, make_argv, blocker):
+    """An output that cannot be written leaves no manifest, no ``.tmp``
+    file and no ``.raw`` file: the output directory holds only the
+    directory that blocked the write."""
+    assert main(make_argv(tmp_path)) == 2
+    blocked = tmp_path / blocker
+    assert [p.name for p in blocked.parent.iterdir()] == [blocked.name]
 
 
 def test_integer_valued_numbers_keep_their_digests(tmp_path):

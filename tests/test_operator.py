@@ -29,7 +29,7 @@ def cancellation_scale(u, basis):
 class TestApplyCascadeOperator:
     def test_disjoint_support_input_maps_to_zero(self, basis):
         # plane wave far outside every shell ball pairs to nothing
-        from cascadelab.grid import plane_wave
+        from oracles import plane_wave
         u = plane_wave(basis.n_grid, basis.box_size, (1, 1, 0))
         out = apply_cascade_operator(u, u, dyadic_cascade_tensor(), basis)
         assert np.max(np.abs(out.data)) < 1e-14

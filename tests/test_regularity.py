@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
-from cascadelab.grid import GridField, l2_norm, plane_wave
+from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    analyze_snapshots, classify_level_records,
-                                   dimension_estimate, local_dissipation_check,
-                                   mode_partition, mode_radii)
+                                   dimension_estimate, mode_partition, mode_radii)
 from oracles import (badness_functional, band_project, classify_level,
-                     wavelet_coefficient)
+                     plane_wave, wavelet_coefficient)
 
 N = 32
 EPS = 0.25
@@ -83,7 +82,7 @@ class TestCoefficientCache:
         fld = GridField(rng.normal(size=(3, N, N, N)), 2 * np.pi, time_tag=0.0)
         cache = CoefficientCache([fld], EPS)
         for level in (2, 3):
-            table = cache.table(0, level, level)
+            table = cache.table(level, level)[0]
             for cube in cube_hierarchy(level, EPS, N):
                 assert table[cube.corner] == pytest.approx(
                     wavelet_coefficient(fld, cube, level), rel=1e-12)
@@ -244,50 +243,6 @@ class TestAnalyzeSnapshots:
         snaps = localized_snapshots(np.random.default_rng(8))
         with pytest.raises(ValueError, match="distinct"):
             analyze_snapshots(snaps, make_params(), levels=(2, 2))
-
-
-class TestLocalDissipationCheck:
-    def test_zero_field(self):
-        fld = GridField(np.zeros((3, N, N, N)), 2 * np.pi)
-        cube = CubeId(2, (0, 0, 0), EPS)
-        pairing, (t1, t2, t3) = local_dissipation_check(fld, cube, 2, 1.0)
-        assert pairing == 0.0 and t1 == 0.0 and t2 == 0.0
-
-    def test_plane_wave_whole_box(self):
-        part = mode_partition(N)
-        fld = plane_wave(N, 2 * np.pi, (10, 0, 0))
-        cube = CubeId(0, (0, 0, 0), EPS)
-        alpha = 0.9
-        pairing, (t1, _, _) = local_dissipation_check(fld, cube, 3, alpha, part)
-        p = part.symbol(3, np.array([10.0]))[0]
-        expect = 10.0 ** (2 * alpha) * p ** 2 * l2_norm(fld) ** 2
-        assert pairing == pytest.approx(expect, rel=1e-10)
-
-    def test_empirical_constant_fit_and_holdout(self):
-        rng = np.random.default_rng(9)
-        part = mode_partition(N)
-        j, alpha = 3, 1.0
-        cube = CubeId(2, (1, 1, 1), EPS)
-
-        def sample():
-            f = GridField(rng.normal(size=(3, N, N, N)), 2 * np.pi)
-            return GridField(band_project(f, j, part).data, 2 * np.pi)
-
-        fits = []
-        for _ in range(30):
-            pairing, (t1, t2, _) = local_dissipation_check(
-                sample(), cube, j, alpha, part)
-            if t1 > 0:
-                fits.append((pairing + t2) / t1)
-        K = 0.9 * min(fits)
-        assert K > 0
-        misses = 0
-        for _ in range(100):
-            pairing, (t1, t2, _) = local_dissipation_check(
-                sample(), cube, j, alpha, part)
-            if pairing < K * t1 - t2 - 1e-12:
-                misses += 1
-        assert misses == 0
 
 
 class TestModeFrame:

@@ -1,15 +1,12 @@
-"""Band projections, spectral multipliers, and their norm inequalities."""
+"""Band projections and their norm inequalities."""
 
 import numpy as np
 import pytest
 
-from cascadelab.grid import (GridField, l2_norm, lp_norm, plane_wave,
-                             spectral_divergence, spectral_gradient_norm,
-                             wave_magnitude, wave_vectors, zero_field)
+from cascadelab.grid import GridField, l2_norm, lp_norm, wave_magnitude
 from cascadelab.spectral import (BandRangeError, LPPartition, chi_profile,
-                                 fractional_laplacian, leray_project,
                                  lp_project, smoothstep)
-from oracles import fractional_energy
+from oracles import plane_wave, zero_field
 
 N, L = 32, 2 * np.pi
 
@@ -95,63 +92,6 @@ class TestLPProject:
         rhs = (2.0 * lp_project(f, 2, partition).data
                - 3.0 * lp_project(g, 2, partition).data)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestFractionalLaplacian:
-    def test_plane_wave_symbol(self):
-        f = plane_wave(N, L, (3, 4, 0))  # |xi| = 5
-        for alpha in (0.5, 0.75, 1.3):
-            out = fractional_laplacian(f, alpha)
-            assert np.max(np.abs(out.data - 5.0 ** (2 * alpha) * f.data)) < 1e-10
-
-    def test_alpha_one_is_minus_laplacian(self, rng):
-        f = GridField(rng.normal(size=(3, N, N, N)), L)
-        out = fractional_laplacian(f, 1.0)
-        kx, ky, kz = wave_vectors(N, L)
-        hat = np.fft.fftn(f.data, axes=(1, 2, 3))
-        ref = np.fft.ifftn((kx ** 2 + ky ** 2 + kz ** 2) * hat,
-                           axes=(1, 2, 3)).real
-        assert np.max(np.abs(out.data - ref)) < 1e-10
-
-    def test_constant_killed(self):
-        f = GridField(np.ones((3, N, N, N)), L)
-        out = fractional_laplacian(f, 0.8)
-        assert np.max(np.abs(out.data)) < 1e-12
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            fractional_laplacian(zero_field(N, L), -0.1)
-
-    def test_parseval_energy(self, rng):
-        f = GridField(rng.normal(size=(3, N, N, N)), L)
-        for alpha in (0.5, 1.0):
-            half = fractional_laplacian(f, alpha / 2.0)
-            direct = l2_norm(half) ** 2
-            spectral = fractional_energy(f, alpha)
-            assert direct == pytest.approx(spectral, rel=1e-12)
-
-
-class TestLeray:
-    def test_gradient_killed(self, rng):
-        phi_hat = np.fft.fftn(rng.normal(size=(N, N, N)))
-        kx, ky, kz = wave_vectors(N, L, zero_nyquist=True)
-        grad = GridField(np.stack([
-            np.fft.ifftn(1j * kx * phi_hat).real,
-            np.fft.ifftn(1j * ky * phi_hat).real,
-            np.fft.ifftn(1j * kz * phi_hat).real]), L)
-        out = leray_project(grad)
-        assert l2_norm(out) < 1e-12 * l2_norm(grad)
-
-    def test_divergence_free_fixed(self, rng):
-        f = leray_project(GridField(rng.normal(size=(3, N, N, N)), L))
-        again = leray_project(f)
-        assert np.max(np.abs(again.data - f.data)) < 1e-12
-        rel = l2_norm(spectral_divergence(f)) / spectral_gradient_norm(f)
-        assert rel < 1e-12
-
-    def test_scalar_field_rejected(self):
-        with pytest.raises(ValueError):
-            leray_project(zero_field(N, L, n_components=1))
 
 
 class TestNormInequalities:
