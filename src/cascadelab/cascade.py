@@ -250,16 +250,12 @@ def energy_balance_residual(trajectory: CascadeTrajectory,
         raise ValueError("need at least 3 samples for an interior residual")
     states = trajectory.state_array()
     energy = 0.5 * np.sum(states ** 2, axis=(1, 2))
-    rates = config.compiled_rhs.rates
-    out = np.empty(len(times) - 2)
-    for k in range(1, len(times) - 1):
-        hl = times[k] - times[k - 1]
-        hr = times[k + 1] - times[k]
-        dE = (-hr / (hl * (hl + hr)) * energy[k - 1]
-              + (hr - hl) / (hl * hr) * energy[k]
-              + hl / (hr * (hl + hr)) * energy[k + 1])
-        out[k - 1] = dE + float(np.sum(rates * states[k].ravel() ** 2))
-    return out
+    hl, hr = np.diff(times)[:-1], np.diff(times)[1:]
+    dE = (-hr / (hl * (hl + hr)) * energy[:-2]
+          + (hr - hl) / (hl * hr) * energy[1:-1]
+          + hl / (hr * (hl + hr)) * energy[2:])
+    interior = states[1:-1].reshape(len(times) - 2, -1)
+    return dE + np.sum(config.compiled_rhs.rates * interior ** 2, axis=1)
 
 
 def timescale_ratio(n: int, alpha: float, lam: float) -> float:

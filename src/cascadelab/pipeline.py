@@ -3,14 +3,15 @@
 Each ``run_*`` function is deterministic given identical inputs, writes a
 run manifest next to its outputs, and stamps every sidecar with the
 manifest digest so outputs can be traced to the invocation that produced
-them.  The digest covers no output, so it is taken first; the manifest is
-written last, only once every output is in place.
+them.  The digest covers no output, so it is taken first.  Through
+:func:`_publish`, a stage's files appear beside their manifest or not at all.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager, suppress
 from importlib import import_module
 
 import numpy as np
@@ -37,12 +38,24 @@ def _deferred(name: str):
 __getattr__ = _deferred
 
 
-def _write_manifest(manifest: iomod.RunManifest, out_dir: str,
-                    start: float) -> None:
-    manifest.wall_time_s = time.monotonic() - start
-    doc = manifest.to_dict()
-    doc["digest"] = manifest.digest
-    iomod.dump_json(doc, os.path.join(out_dir, "manifest.json"))
+@contextmanager
+def _publish(manifest: iomod.RunManifest, out_dir, start: float):
+    """Remove an earlier run's ``manifest.json``, yield ``claim(*paths)``
+    (called before writing them; returns the first), and write the manifest
+    last.  Any exception removes every claimed regular file, then re-raises."""
+    claimed = [os.path.join(out_dir, "manifest.json")]
+    with suppress(FileNotFoundError):
+        os.remove(claimed[0])
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield lambda *paths: claimed.extend(paths) or paths[0]
+        manifest.wall_time_s = time.monotonic() - start
+        iomod.dump_json(dict(manifest.to_dict(), digest=manifest.digest),
+                        claimed[0])
+    except BaseException:  # a directory that blocked a write is left alone
+        for path in filter(os.path.isfile, claimed):
+            os.remove(path)
+        raise
 
 
 def run_validate(config_path) -> tuple[int, str]:
@@ -54,9 +67,7 @@ def run_validate(config_path) -> tuple[int, str]:
     except iomod.DomainError as exc:
         return 1, f"domain violation: {exc}"
     report = validate_tensor(config.tensor)
-    if report.valid:
-        return 0, str(report)
-    return 1, str(report)
+    return (0 if report.valid else 1), str(report)
 
 
 def run_simulate(config_path, t_end: float, out_path) -> dict:
@@ -73,24 +84,21 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
     initial = iomod.initial_state(config, initial_entries)
     trajectory = integrate(config, initial, t_end, **integrator)
 
-    out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    config_doc = iomod.config_to_dict(
-        config, dict(integrator, initial=initial_entries))
-    digest = iomod.canonical_digest(config_doc)
-    manifest = iomod.RunManifest("simulate", digest,
-                                 {"t_end": t_end, "integrator": integrator,
-                                  "initial": initial_entries},
-                                 [str(config_path)], [str(out_path)], 0.0)
-    manifest_digest = manifest.digest
-    iomod.save_trajectory_csv(trajectory, config, out_path, sidecar={
-        "config_digest": digest, "manifest_digest": manifest_digest,
-        "integrator_stats": trajectory.integrator_stats})
-    _write_manifest(manifest, out_dir, start)
+    digest = iomod.canonical_digest(iomod.config_to_dict(
+        config, dict(integrator, initial=initial_entries)))
+    manifest = iomod.RunManifest("simulate", digest, {
+        "t_end": t_end, "integrator": integrator, "initial": initial_entries},
+        [str(config_path)], [str(out_path)], 0.0)
+    sidecar = {"config_digest": digest, "manifest_digest": manifest.digest,
+               "integrator_stats": trajectory.integrator_stats}
+    with _publish(manifest, os.path.dirname(os.path.abspath(out_path)),
+                  start) as claim:
+        iomod.save_trajectory_csv(trajectory, config,
+                                  claim(out_path, f"{out_path}.json"), sidecar)
     return {"status": trajectory.status,
             "blowup_time_estimate": trajectory.blowup_time_estimate,
             "n_samples": len(trajectory.times),
-            "manifest_digest": manifest_digest}
+            "manifest_digest": sidecar["manifest_digest"]}
 
 
 def _build(factory, fields: dict):
@@ -130,7 +138,6 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                 f"time {t} outside trajectory span "
                 f"[{t_samples[0]}, {t_samples[-1]}]")
 
-    os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
         "synthesize", sidecar.get("config_digest", ""),
         {"times": list(times), "basis_id": basis.basis_id},
@@ -138,10 +145,8 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
 
     def jobs():
         for t in times:
-            coeffs = np.empty_like(states[0])
-            for i in range(states.shape[1]):
-                for n in range(states.shape[2]):
-                    coeffs[i, n] = np.interp(t, t_samples, states[:, i, n])
+            coeffs = np.apply_along_axis(
+                lambda column: np.interp(t, t_samples, column), 0, states)
             yield coeffs, basis, n_min, float(t)
 
     def checked(*job):  # finite amplitudes can still overflow the samples
@@ -153,30 +158,20 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                 f"{trajectory_path} at time {job[-1]}: {exc}") from exc
 
     written = []  # (path base, sidecar document) per snapshot
-    files = []  # every file this run has written
     max_roundtrip = 0.0
-    try:
+    with _publish(manifest, out_dir, start) as claim:
         for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
             max_roundtrip = max(max_roundtrip, err)
             base = os.path.join(out_dir, f"snapshot_{idx:04d}")
-            raw_path, sidecar = iomod.save_snapshot(
-                fld, base, basis_id=basis.basis_id,
-                extra={"roundtrip_error": err, "n_min": n_min, "n_max": n_max})
-            files.append(raw_path)
-            written.append((base, sidecar))
-
+            claim(f"{base}.raw")
+            written.append((base, iomod.save_snapshot(fld, base, basis.basis_id, {
+                "roundtrip_error": err, "n_min": n_min, "n_max": n_max})[1]))
         manifest.outputs = [base + ".raw" for base, _ in written]
         manifest.parameters["max_roundtrip_error"] = max_roundtrip
         manifest_digest = manifest.digest
         for base, sidecar in written:  # written once, with the final digest
             sidecar["manifest_digest"] = manifest_digest
-            iomod.dump_json(sidecar, f"{base}.json")
-            files.append(f"{base}.json")
-        _write_manifest(manifest, out_dir, start)
-    except BaseException:  # leave no snapshot file without a manifest
-        for path in files:
-            os.remove(path)
-        raise
+            iomod.dump_json(sidecar, claim(f"{base}.json"))
     return {"written": [base for base, _ in written],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
@@ -204,9 +199,17 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
             f"need at least 3 snapshots in {snapshot_dir}, found {len(bases)}")
     # sidecars only: each .raw file is read once, inside the analysis pass
     snapshots = [iomod.read_snapshot_header(base) for base in bases]
+    runs = {}  # manifest digest -> first sidecar carrying it
     for snap in snapshots:
         if snap.time_tag is None:
             raise iomod.InputError(f"{snap.base}.json: snapshot has no time tag")
+        if snap.sidecar.get("manifest_digest"):  # hand-built ones carry none
+            runs.setdefault(str(snap.sidecar["manifest_digest"]), snap)
+    if len(runs) > 1:
+        (d_a, a), (d_b, b) = list(runs.items())[:2]
+        raise iomod.InputError(
+            f"{a.base}.json and {b.base}.json: snapshots of two synthesize "
+            f"runs, manifest digests {d_a} and {d_b}")
     snapshots.sort(key=lambda snap: snap.time_tag)
     for a, b in zip(snapshots, snapshots[1:]):
         if a.time_tag == b.time_tag or a.n_grid != b.n_grid:
@@ -217,25 +220,21 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
 
     report = _deferred("analyze_snapshots")(snapshots, params, levels)
 
-    out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
     manifest = iomod.RunManifest(
         "analyze", iomod.canonical_digest(doc), {"levels": levels},
         [str(params_path)] + [b + ".raw" for b in bases], [str(out_path)], 0.0)
     manifest_digest = manifest.digest
-
-    doc_out = report.to_dict()
-    doc_out["schema"] = iomod.SCHEMA_REPORT
-    doc_out["manifest_digest"] = manifest_digest
-    iomod.dump_json(doc_out, out_path)
-
+    doc_out = dict(report.to_dict(), schema=iomod.SCHEMA_REPORT,
+                   manifest_digest=manifest_digest)
     plot_path = str(out_path) + ".csv"
-    with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_digest: {manifest_digest}\n")
-        fh.write("j,log2_count\n")
-        for row in report.per_level:
-            if row.vitali_count > 0:
-                fh.write(f"{row.j},{repr(float(np.log2(row.vitali_count)))}\n")
-    _write_manifest(manifest, out_dir, start)
+    with _publish(manifest, os.path.dirname(os.path.abspath(out_path)),
+                  start) as claim:
+        iomod.dump_json(doc_out, claim(out_path))
+        with open(claim(plot_path), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# manifest_digest: {manifest_digest}\n")
+            fh.write("j,log2_count\n")
+            for row in report.per_level:
+                if row.vitali_count > 0:
+                    fh.write(f"{row.j},{repr(float(np.log2(row.vitali_count)))}\n")
     return {"report": doc_out, "plot_csv": plot_path,
             "manifest_digest": manifest_digest}

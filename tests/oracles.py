@@ -58,3 +58,20 @@ def plane_wave(n_grid: int, box_size: float, mode: tuple[int, int, int],
     data = np.zeros((3, n, n, n))
     data[component] = np.cos(arg)
     return GridField(data, box_size)
+
+
+def energy_balance_residual_loop(trajectory, config) -> np.ndarray:
+    """Sample-by-sample reference for ``cascade.energy_balance_residual``."""
+    times = trajectory.times
+    states = trajectory.state_array()
+    energy = 0.5 * np.sum(states ** 2, axis=(1, 2))
+    rates = config.compiled_rhs.rates
+    out = np.empty(len(times) - 2)
+    for k in range(1, len(times) - 1):
+        hl = times[k] - times[k - 1]
+        hr = times[k + 1] - times[k]
+        dE = (-hr / (hl * (hl + hr)) * energy[k - 1]
+              + (hr - hl) / (hl * hr) * energy[k]
+              + hl / (hr * (hl + hr)) * energy[k + 1])
+        out[k - 1] = dE + float(np.sum(rates * states[k].ravel() ** 2))
+    return out

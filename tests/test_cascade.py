@@ -207,6 +207,18 @@ class TestEnergyBalanceResidual:
         res = energy_balance_residual(CascadeTrajectory(samples, "completed"), cfg)
         assert np.all(res == 0.0)
 
+    @pytest.mark.parametrize("alpha, n_range, t_end", [
+        (1.25, (0, 6), 0.5), (0.75, (0, 7), 1.0), (1.0, (0, 8), 0.5)])
+    def test_matches_sample_loop_bitwise(self, alpha, n_range, t_end):
+        from cascadelab.integrate import integrate
+        from oracles import energy_balance_residual_loop
+        cfg = builtin_dyadic_config(2.0, alpha, n_range, kappa=1.0)
+        traj = integrate(cfg, state_from_entries(cfg, {(1, 0): 1.0, (2, 1): -0.5}),
+                         t_end)
+        assert len(traj.times) > 300
+        assert (energy_balance_residual(traj, cfg).tobytes()
+                == energy_balance_residual_loop(traj, cfg).tobytes())
+
     def test_needs_three_samples(self):
         cfg = builtin_dyadic_config(2.0, 1.0, (0, 2))
         samples = [CascadeState(t, np.zeros((4, 3))) for t in (0.0, 0.1)]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ from cascadelab.cascade import builtin_dyadic_config, state_from_entries
 from cascadelab.cli import main
 from cascadelab.grid import GridField
 from cascadelab.integrate import integrate
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+#: manifest digests of ``test_stage_digests_stay_pinned``'s simulate and
+#: analyze runs; a change to either changes what the manifests identify
+SIMULATE_DIGEST = "cae95e10f6b64721af95f90f0db0aa03c99d9244f4ce91e2bfda41b55750f7ab"
+ANALYZE_DIGEST = "b6148b94ea00c90229b73fbe03c867cfd83dea4729508cda833538de81996aac"
 
 
 def write_config(path, lam=2.0, alpha=1.0, kappa=1.0, n_min=0, n_max=1,
@@ -601,6 +609,15 @@ def test_failed_synthesize_leaves_no_raw_file(tmp_path):
     pytest.param(_at_path(_analyze_with(), "--out", "r/report.json",
                           directory="r/report.json"), "r/report.json",
                  id="analyze-report-a-directory"),
+    pytest.param(_at_path(_simulate_with({}), "--out", "d/traj.csv",
+                          directory="d/traj.csv.json"), "d/traj.csv.json",
+                 id="simulate-sidecar-a-directory"),
+    pytest.param(_at_path(_simulate_with({}), "--out", "d/traj.csv",
+                          directory="d/manifest.json"), "d/manifest.json",
+                 id="simulate-manifest-a-directory"),
+    pytest.param(_at_path(_analyze_with(), "--out", "r/report.json",
+                          directory="r/report.json.csv"), "r/report.json.csv",
+                 id="analyze-plot-a-directory"),
 ])
 def test_failed_write_leaves_no_file_of_the_run(tmp_path, make_argv, blocker):
     """An output that cannot be written leaves no manifest, no ``.tmp``
@@ -609,6 +626,67 @@ def test_failed_write_leaves_no_file_of_the_run(tmp_path, make_argv, blocker):
     assert main(make_argv(tmp_path)) == 2
     blocked = tmp_path / blocker
     assert [p.name for p in blocked.parent.iterdir()] == [blocked.name]
+
+
+def test_failed_rerun_removes_the_earlier_manifest(tmp_path):
+    """A rerun whose sidecar cannot be written leaves neither its own CSV
+    nor the manifest of the earlier, successful run."""
+    argv = _simulate_with({})(tmp_path)
+    assert main(argv) == 0
+    (tmp_path / "traj.csv.json").unlink()
+    (tmp_path / "traj.csv.json").mkdir()
+    assert main(argv) == 2
+    assert not (tmp_path / "traj.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_analyze_rejects_snapshots_of_two_synthesize_runs(tmp_path, capsys):
+    """Five snapshots, then three others over them: the directory holds
+    snapshots of two runs, which ``analyze`` names instead of mixing."""
+    argv = _synthesize_with()(tmp_path)
+    for times in ("0.001,0.002,0.003,0.004,0.005", "0.011,0.013,0.015"):
+        argv[argv.index("--times") + 1] = times
+        assert main(argv) == 0
+    assert len(list((tmp_path / "snaps").glob("*.raw"))) == 5
+    capsys.readouterr()
+    assert main(["analyze", "--snapshots", str(tmp_path / "snaps"), "--params",
+                 str(write_params(tmp_path / "params.json")),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    for name in ("snapshot_0000.json", "snapshot_0003.json"):
+        sidecar = json.loads((tmp_path / "snaps" / name).read_text())
+        assert name in err and sidecar["manifest_digest"] in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_stage_digests_stay_pinned(tmp_path, monkeypatch, capsys):
+    """The shipped configs, run with relative paths, give the pinned simulate
+    and analyze manifest digests; synthesize's digest, which holds a
+    roundoff figure, is compared between two runs instead."""
+    for name in ("pipeline_demo.json", "basis_demo.json", "params_demo.json"):
+        (tmp_path / name).write_bytes((CONFIGS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    synthesize = ["synthesize", "--trajectory", "sim/traj.csv",
+                  "--basis-config", "basis_demo.json",
+                  "--times", "0.002,0.005,0.008", "--out-dir"]
+    stages = {
+        "sim": ["simulate", "--config", "pipeline_demo.json", "--t-end",
+                "0.01", "--out", "sim/traj.csv"],
+        "s1": synthesize + ["s1"],
+        "s2": synthesize + ["s2"],
+        "analysis": ["analyze", "--snapshots", "s1", "--params",
+                     "params_demo.json", "--out", "analysis/report.json"],
+    }
+    digests = {}
+    for stage_dir, argv in stages.items():
+        assert main(argv) == 0
+        digests[stage_dir] = json.loads(
+            capsys.readouterr().out)["manifest_digest"]
+        manifest = json.loads((tmp_path / stage_dir / "manifest.json").read_text())
+        assert manifest["digest"] == digests[stage_dir]
+    assert digests["sim"] == SIMULATE_DIGEST
+    assert digests["s1"] == digests["s2"]
+    assert digests["analysis"] == ANALYZE_DIGEST
 
 
 def test_integer_valued_numbers_keep_their_digests(tmp_path):
