@@ -71,7 +71,7 @@ def main(argv=None) -> int:
                              sort_keys=True))
             return 0
         raise InputError(f"unknown subcommand {args.subcommand!r}")
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:  # MemoryError: an input too large to hold
         print(f"domain violation: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:  # OSError: a path not readable or writable

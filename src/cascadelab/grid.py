@@ -2,7 +2,8 @@
 
 Fields are sampled on an N^3 periodic box of side ``box_size`` with N a
 power of two.  Physical wave vectors are ``2 pi k / box_size`` for integer
-mode vectors k in the usual FFT layout.
+mode vectors k in the usual FFT layout.  Transforms are real-input, on the
+``kz >= 0`` half spectrum of ``rfftn``; :func:`real_samples` is the inverse.
 """
 
 from __future__ import annotations
@@ -97,14 +98,12 @@ class GridField:
 def wave_vectors(n_grid: int, box_size: float,
                  zero_nyquist: bool = False) -> list[np.ndarray]:
     """Physical wave-vector components as broadcastable axes, shaped
-    (N, 1, 1), (1, N, 1) and (1, 1, N); arithmetic between them spans the
-    (N, N, N) mode cube, and nothing is cached between calls.
+    (N, 1, 1), (1, N, 1) and (1, 1, N), spanning the (N, N, N) mode cube.
 
     Odd (derivative-type) symbols must use ``zero_nyquist=True``: the
     Nyquist frequency has no sign-consistent representative on an even
-    grid, so keeping it would break Hermitian symmetry and leak imaginary
-    parts into real fields.  Even symbols (|xi| powers, band cutoffs) are
-    safe with the full arrays.
+    grid, and keeping it would break the Hermitian symmetry that
+    :func:`real_samples` assumes.  Even symbols are safe with the full arrays.
     """
     k = np.fft.fftfreq(n_grid, d=1.0 / n_grid)  # integer mode numbers
     arr = 2.0 * np.pi / box_size * k
@@ -123,13 +122,21 @@ def nyquist(n_grid: int, box_size: float) -> float:
     return np.pi * n_grid / box_size
 
 
-def fft_field(fld: GridField) -> np.ndarray:
-    return np.fft.fftn(fld.data, axes=(1, 2, 3))
+def real_samples(hat: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Real (n, n, n) samples of a Hermitian half spectrum whose missing
+    columns are zero: ``irfftn``'s passes, the first two overwriting ``hat``."""
+    np.fft.ifft(hat, axis=0, out=hat)
+    np.fft.ifft(hat, axis=1, out=hat)
+    return np.fft.irfft(hat, n=n, axis=2, out=out)
 
 
 def apply_symbol(fld: GridField, symbol: np.ndarray) -> GridField:
-    """Multiply the spectrum componentwise by a real symbol array."""
-    return fld.like(np.fft.ifftn(fft_field(fld) * symbol, axes=(1, 2, 3)).real)
+    """Multiply the spectrum componentwise by a real, even symbol, given on
+    the (N, N, N) mode cube or on its ``kz >= 0`` half."""
+    n, data = fld.n_grid, np.empty_like(fld.data)
+    for comp, out in zip(fld.data, data):
+        real_samples(np.fft.rfftn(comp) * symbol[..., :n // 2 + 1], n, out=out)
+    return fld.like(data)
 
 
 def l2_norm(fld: GridField) -> float:
@@ -158,19 +165,20 @@ def mean_integral(fld: GridField) -> np.ndarray:
 def spectral_divergence(fld: GridField) -> GridField:
     if fld.n_components != 3:
         raise ValueError("divergence needs a 3-component field")
-    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size, zero_nyquist=True)
-    hat = fft_field(fld)
-    div_hat = 1j * (kx * hat[0] + ky * hat[1] + kz * hat[2])
-    out = np.fft.ifftn(div_hat).real
-    return GridField(out[None], fld.box_size, fld.time_tag)
+    n = fld.n_grid
+    kx, ky, kz = wave_vectors(n, fld.box_size, zero_nyquist=True)
+    div_hat = sum(1j * k * np.fft.rfftn(c)
+                  for k, c in zip((kx, ky, kz[..., :n // 2 + 1]), fld.data))
+    return fld.like(real_samples(div_hat, n))
 
 
 def spectral_gradient_norm(fld: GridField) -> float:
-    """L^2 norm of the full gradient, evaluated spectrally."""
-    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size, zero_nyquist=True)
-    hat = fft_field(fld)
-    n6 = fld.n_grid ** 6
-    total = 0.0
-    for comp in hat:
-        total += np.sum((kx ** 2 + ky ** 2 + kz ** 2) * np.abs(comp) ** 2)
-    return float(np.sqrt(total * fld.box_size ** 3 / n6))
+    """L^2 norm of the full gradient from the half spectrum, where a column
+    other than ``kz = 0`` and ``kz = N/2`` also stands for its mirror."""
+    n = fld.n_grid
+    kx, ky, kz = wave_vectors(n, fld.box_size, zero_nyquist=True)
+    twice = np.full(n // 2 + 1, 2.0)
+    twice[[0, -1]] = 1.0
+    k2 = (kx ** 2 + ky ** 2 + kz[..., :n // 2 + 1] ** 2) * twice
+    total = sum(np.sum(k2 * np.abs(np.fft.rfftn(c)) ** 2) for c in fld.data)
+    return float(np.sqrt(total * fld.box_size ** 3 / n ** 6))

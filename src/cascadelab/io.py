@@ -317,6 +317,15 @@ class SnapshotFile:
     def load(self) -> GridField:
         return load_snapshot(self)
 
+    def check_raw(self) -> None:
+        """InputError unless ``<base>.raw`` holds the samples the sidecar names."""
+        try:
+            size = os.path.getsize(self.base + ".raw")
+        except OSError as exc:
+            raise InputError(f"cannot read {self.base}.raw: {exc}") from exc
+        if size != 8 * self.sidecar["components"] * self.n_grid ** 3:
+            raise InputError(f"{self.base}.raw: size does not match the sidecar")
+
 
 def read_snapshot_header(path_base) -> SnapshotFile:
     """Sidecar ``<path_base>.json``; a malformed file, a field missing or of
@@ -332,15 +341,10 @@ def load_snapshot(source) -> GridField:
     :class:`SnapshotFile`; samples not filling the grid are an InputError."""
     snap = (source if isinstance(source, SnapshotFile)
             else read_snapshot_header(source))
-    n, comps = snap.n_grid, snap.sidecar["components"]
+    snap.check_raw()
+    n, data = snap.n_grid, np.fromfile(snap.base + ".raw", dtype="<f8")
     try:
-        data = np.fromfile(snap.base + ".raw", dtype="<f8")
-    except OSError as exc:
-        raise InputError(f"cannot read {snap.base}.raw: {exc}") from exc
-    if data.size != comps * n ** 3:
-        raise InputError(f"{snap.base}.raw: size does not match the sidecar")
-    try:
-        fld = GridField(data.reshape(comps, n, n, n),
+        fld = GridField(data.reshape(snap.sidecar["components"], n, n, n),
                         float(snap.sidecar["box_size"]), snap.time_tag)
     except ValueError as exc:
         raise InputError(f"{snap.base}: {exc}") from exc

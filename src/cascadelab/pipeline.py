@@ -217,6 +217,8 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
                 f"{a.base}.json and {b.base}.json: snapshots need distinct "
                 f"times and one grid, got times {a.time_tag!r} and "
                 f"{b.time_tag!r}, n_grid {a.n_grid} and {b.n_grid}")
+    for snap in snapshots:  # before any array is sized from a sidecar
+        snap.check_raw()
 
     report = _deferred("analyze_snapshots")(snapshots, params, levels)
 

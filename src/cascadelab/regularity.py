@@ -25,11 +25,9 @@ tables and family energies are per-axis contractions, the latter with
 enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table the
 requested levels need is computed in one pass over the snapshots: the
 calling thread reads each snapshot once, and a pool thread
-(:func:`~cascadelab.grid.map_snapshots`) transforms it once (real
-transform, one component at a time) and contracts each band density into
-its tables.  At most ``SNAPSHOT_WORKERS`` (two) snapshots are in flight,
-and rows are gathered in snapshot order, so tables do not depend on the
-pool size.
+(:func:`~cascadelab.grid.map_snapshots`) transforms it once and contracts
+each band density into its tables.  Rows are gathered in snapshot order,
+so tables do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
-from .grid import GridField, map_snapshots, wave_magnitude
+from .grid import GridField, map_snapshots, real_samples, wave_magnitude
 from .spectral import LPPartition, chi_profile
 
 VERDICT_BAD = "mildly_bad"
@@ -141,9 +139,7 @@ class CoefficientCache:
             raise ValueError("snapshots must share one grid")
         self.times = np.array(times, dtype=float)
         self.partition = mode_partition(self.n_grid)
-        k2 = np.fft.fftfreq(self.n_grid, 1.0 / self.n_grid) ** 2  # integer modes
-        half = k2[:self.n_grid // 2 + 1]  # the real-FFT half axis
-        self._half_radii = np.sqrt(k2[:, None, None] + k2[:, None] + half)
+        self._half_radii = mode_radii(self.n_grid)[..., :self.n_grid // 2 + 1].copy()
         self.unresolved_bands: set[int] = set()
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
@@ -153,11 +149,8 @@ class CoefficientCache:
         self._family_sq: dict[tuple[int, int], np.ndarray] = {}
 
     def fill(self, pairs) -> None:
-        """Missing (level, band) tables in one pass over the snapshots.
-
-        The calling thread reads each snapshot; a pool thread transforms it
-        and contracts each band density into its tables
-        (:func:`_snapshot_rows`).  Rows are gathered in snapshot order."""
+        """Missing (level, band) tables in one pass over the snapshots, each
+        read here and transformed on the pool (:func:`_snapshot_rows`)."""
         tables, needed = {}, {}
         for level, band in sorted(set(pairs) - self._tables.keys()):
             m = len(self._axis_weights(level))
@@ -264,8 +257,8 @@ def _snapshot_rows(box: list, cell_volume: float, plan: dict) -> dict:
     ``box`` holds the samples and is emptied, so the field is dropped once
     its real-FFT spectrum exists; ``plan`` maps each band to its half
     symbol and the axis weights of its levels.  Runs on a pool thread, so
-    it calls no public function: a tracer that wraps those keeps one span
-    stack per process.
+    it calls no stage or layer function (a tracer that wraps those keeps
+    one span stack per process); its inverse is ``grid.real_samples``.
     """
     data = box.pop()
     n = data.shape[-1]
@@ -283,14 +276,11 @@ def _snapshot_rows(box: list, cell_volume: float, plan: dict) -> dict:
 
 def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int) -> np.ndarray:
     """Pointwise ``|P_band u|^2`` from a real-FFT spectrum, one component at
-    a time: an ``irfftn`` in place, without the columns where the band is
-    zero, squared and summed over components in order."""
+    a time: inverted without the columns where the band is zero, squared
+    and summed over components in order."""
     density = None
     for comp in spectrum:
-        proj = comp[..., :symbol.shape[-1]] * symbol
-        np.fft.ifft(proj, axis=0, out=proj)
-        np.fft.ifft(proj, axis=1, out=proj)
-        square = np.fft.irfft(proj, n=n, axis=2)
+        square = real_samples(comp[..., :symbol.shape[-1]] * symbol, n)
         np.square(square, out=square)
         density = square if density is None else np.add(density, square, out=density)
     return density

@@ -19,9 +19,9 @@ divergence-freeness hold to machine precision.
 Every spectrum the basis builds is Hermitian, so every field is real and
 only real-input transforms run, one component at a time: synthesis builds
 only the ``kz >= 0`` half of the spectrum (the other half is its mirror)
-and inverts it with the passes of ``irfftn``, and projection reads
-``Re u_hat`` from an ``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a real
-field, so a mode in the other half is read at its mirror).  The profile
+and inverts it with :func:`~cascadelab.grid.real_samples`, and projection
+reads ``Re u_hat`` from an ``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a
+real field, so a mode in the other half is read at its mirror).  The profile
 fields ``psi`` are materialized on first read; building the basis runs no
 transform.  Each ball is scanned only on the index box around it.
 
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridField, _is_power_of_two, radial_bump
+from .grid import GridField, _is_power_of_two, radial_bump, real_samples
 
 #: shells must stay inside this fraction of the Nyquist frequency
 NYQUIST_MARGIN = 0.98
@@ -172,17 +172,13 @@ class WaveletBasis:
 
     def materialize(self, spectrum_flat: np.ndarray,
                     time_tag: float | None = None) -> GridField:
-        """Real field of a Hermitian flat spectrum, half or full layout.
-
-        Only the ``kz >= 0`` half is read, and it is overwritten: each
-        component is inverted in place, ``irfftn``'s passes one by one."""
+        """Real field of a Hermitian flat spectrum, half or full layout; only
+        the ``kz >= 0`` half is read, and it is overwritten in the inverse."""
         n = self.n_grid
         hat = spectrum_flat.reshape(3, n, n, -1)[..., :n // 2 + 1]
         data = np.empty((3, n, n, n))
         for comp, out in zip(hat, data):
-            np.fft.ifft(comp, axis=0, out=comp)
-            np.fft.ifft(comp, axis=1, out=comp)
-            np.fft.irfft(comp, n=n, axis=2, out=out)
+            real_samples(comp, n, out=out)
         return GridField(data, self.box_size, time_tag)
 
     @cached_property

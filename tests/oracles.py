@@ -3,7 +3,7 @@
 import numpy as np
 
 from cascadelab.cubes import BumpProfile, CubeId
-from cascadelab.grid import GridField, apply_symbol
+from cascadelab.grid import GridField, apply_symbol, wave_vectors
 from cascadelab.regularity import (VERDICT_BAD, CoefficientCache,
                                    RegularityParams, classify_level_records,
                                    mode_partition, mode_radii)
@@ -75,3 +75,26 @@ def energy_balance_residual_loop(trajectory, config) -> np.ndarray:
               + hl / (hr * (hl + hr)) * energy[k + 1])
         out[k - 1] = dE + float(np.sum(rates * states[k].ravel() ** 2))
     return out
+
+
+def apply_symbol_complex(fld: GridField, symbol: np.ndarray) -> GridField:
+    """Full-spectrum reference for ``grid.apply_symbol``."""
+    hat = np.fft.fftn(fld.data, axes=(1, 2, 3))
+    return fld.like(np.fft.ifftn(hat * symbol, axes=(1, 2, 3)).real)
+
+
+def spectral_divergence_complex(fld: GridField) -> GridField:
+    """Full-spectrum reference for ``grid.spectral_divergence``."""
+    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size, zero_nyquist=True)
+    hat = np.fft.fftn(fld.data, axes=(1, 2, 3))
+    div_hat = 1j * (kx * hat[0] + ky * hat[1] + kz * hat[2])
+    return GridField(np.fft.ifftn(div_hat).real[None], fld.box_size, fld.time_tag)
+
+
+def spectral_gradient_norm_complex(fld: GridField) -> float:
+    """Full-spectrum reference for ``grid.spectral_gradient_norm``."""
+    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size, zero_nyquist=True)
+    hat = np.fft.fftn(fld.data, axes=(1, 2, 3))
+    total = sum(np.sum((kx ** 2 + ky ** 2 + kz ** 2) * np.abs(comp) ** 2)
+                for comp in hat)
+    return float(np.sqrt(total * fld.box_size ** 3 / fld.n_grid ** 6))

@@ -414,8 +414,17 @@ def _third_time_overflows(rows):
     return ",".join([rows[0][0], rows[1][0], mid])
 
 
+def _validate_with(config):
+    """Validate argv over the config document ``_simulate_with`` writes,
+    with an initial state, which validation builds."""
+    simulate = _simulate_with({"initial": {"X_1_0": 1.0}}, config=config)
+    return lambda tmp_path: ["validate", "--config", simulate(tmp_path)[2]]
+
+
 def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
-                  grids=(8, 8, 8)):
+                  grids=(8, 8, 8), sidecar_fields=None):
+    """Analyze argv over zero snapshots; ``sidecar_fields`` are set in each
+    sidecar after its ``.raw`` file is written."""
     def argv(tmp_path):
         snap_dir = tmp_path / "snaps"
         snap_dir.mkdir()
@@ -424,6 +433,7 @@ def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
             base = snap_dir / f"snapshot_{s:04d}"
             sidecar = iomod.save_snapshot(fld, base)[1]
             sidecar.pop(drop_sidecar_key, None)
+            sidecar.update(sidecar_fields or {})
             iomod.dump_json(sidecar, f"{base}.json")
         path = write_params(tmp_path / "params.json")
         _edit_json(path, params or {})
@@ -568,6 +578,15 @@ MALFORMED_INPUT = [
                  2, id="synthesize-out-dir-a-file"),
     pytest.param(_at_path(_analyze_with(), "--out", "out/report.json",
                           file="out"), 2, id="analyze-out-under-a-file"),
+    # sizes whose allocation request fails at once, without taking memory
+    pytest.param(_validate_with({"n_max": 2 ** 45}), 1,
+                 id="validate-n-max-too-large-to-hold"),
+    pytest.param(_simulate_with({}, config={"n_max": 2 ** 45}), 1,
+                 id="simulate-n-max-too-large-to-hold"),
+    pytest.param(_synthesize_with(basis={"n_grid": 2 ** 20}), 1,
+                 id="synthesize-n-grid-too-large-to-hold"),
+    pytest.param(_analyze_with(sidecar_fields={"n_grid": 2 ** 20}), 2,
+                 id="analyze-sidecar-n-grid-over-small-raw"),
 ]
 
 
@@ -720,6 +739,24 @@ def test_analyze_names_conflicting_sidecars_before_reading_samples(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert all(f"{name}.json" in err for name in named), err
+
+
+@pytest.mark.parametrize("spoil, message", [
+    pytest.param(lambda raw: raw.write_bytes(raw.read_bytes()[:-8]),
+                 "snapshot_0001.raw: size does not match the sidecar",
+                 id="raw-short"),
+    pytest.param(lambda raw: raw.unlink(), "cannot read", id="raw-missing"),
+])
+def test_analyze_sizes_raw_files_before_the_analysis(tmp_path, capsys,
+                                                     monkeypatch, spoil, message):
+    from cascadelab import pipeline
+    argv = _analyze_with()(tmp_path)
+    spoil(tmp_path / "snaps" / "snapshot_0001.raw")
+    monkeypatch.setattr(pipeline, "analyze_snapshots",
+                        lambda *args: pytest.fail("the analysis ran"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "snapshot_0001.raw" in err, err
 
 
 def _reject_constant(name):

@@ -6,8 +6,9 @@ import pytest
 from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
 from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
-                                   analyze_snapshots, classify_level_records,
-                                   dimension_estimate, mode_partition, mode_radii)
+                                   _terminal_window_mean, analyze_snapshots,
+                                   classify_level_records, dimension_estimate,
+                                   mode_partition, mode_radii)
 from oracles import (badness_functional, band_project, classify_level,
                      plane_wave, wavelet_coefficient)
 
@@ -119,6 +120,41 @@ class TestCoefficientCache:
             cols = symbols[band].shape[-1]
             assert symbols[band].tobytes() == full[..., :cols].tobytes()
             assert full[..., cols - 1].any() and not full[..., cols:].any()
+
+
+#: window widths on TIMES (span 1.0, last gap 0.1), one per regime
+WINDOW_REGIMES = {"empty": 0.0, "negative": -0.5, "last-gap": 0.06,
+                  "inside-span": 0.55, "whole-span": 1.0, "clipped": 3.0}
+TIMES = np.array([0.0, 0.15, 0.4, 0.5, 0.75, 0.9, 1.0])
+
+
+class TestTerminalWindowMean:
+    @pytest.mark.parametrize("width", WINDOW_REGIMES.values(),
+                             ids=WINDOW_REGIMES.keys())
+    def test_linear_data(self, width):
+        a, b = np.array([[1.0, -2.0, 0.5]]), np.array([[3.0, 0.25, -7.0]])
+        values = a + b * TIMES[:, None, None]
+        mean, clipped = _terminal_window_mean(TIMES, values, width)
+        T = TIMES[-1]
+        if width >= T - TIMES[0]:
+            expected = a + b * 0.5 * (TIMES[0] + T)  # mean over the whole span
+        else:
+            expected = a + b * (T - max(width, 0.0) / 2)
+        assert clipped == (width >= T - TIMES[0])
+        np.testing.assert_allclose(mean, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", WINDOW_REGIMES.values(),
+                             ids=WINDOW_REGIMES.keys())
+    def test_random_data_matches_fine_trapezoid(self, width):
+        values = np.random.default_rng(11).normal(size=(len(TIMES), 4))
+        mean, _ = _terminal_window_mean(TIMES, values, width)
+        if width <= 0:
+            np.testing.assert_array_equal(mean, values[-1])
+            return
+        ts = np.linspace(max(TIMES[-1] - width, TIMES[0]), TIMES[-1], 10 ** 5)
+        fine = np.stack([np.interp(ts, TIMES, v) for v in values.T], axis=1)
+        ref = np.trapezoid(fine, ts, axis=0) / (ts[-1] - ts[0])
+        np.testing.assert_allclose(mean, ref, rtol=0, atol=1e-8)
 
 
 class TestBadnessFunctional:

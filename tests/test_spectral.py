@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from cascadelab.grid import GridField, l2_norm, lp_norm, wave_magnitude
+from cascadelab.grid import (GridField, apply_symbol, l2_norm, lp_norm,
+                             real_samples, spectral_divergence,
+                             spectral_gradient_norm, wave_magnitude)
 from cascadelab.spectral import (BandRangeError, LPPartition, chi_profile,
                                  lp_project, smoothstep)
-from oracles import plane_wave, zero_field
+from oracles import (apply_symbol_complex, plane_wave,
+                     spectral_divergence_complex,
+                     spectral_gradient_norm_complex, zero_field)
 
 N, L = 32, 2 * np.pi
 
@@ -159,3 +163,53 @@ class TestNormInequalities:
             norms.append(np.sqrt(np.sum(resid ** 2) * f.cell_volume))
         for a, b in zip(norms, norms[1:]):
             assert b <= 0.5 * a or b < 1e-12
+
+
+def _max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("box", [2 * np.pi, np.pi / 2], ids=["2pi", "pi/2"])
+class TestRealTransforms:
+    """The half-spectrum transforms against full-spectrum complex ones."""
+
+    @pytest.fixture
+    def fld(self, n, box):
+        rng = np.random.default_rng([n, int(box * 100)])
+        return GridField(rng.normal(size=(3, n, n, n)), box)
+
+    def test_apply_symbol_matches_complex(self, fld, n, box):
+        rng = np.random.default_rng(n)
+        mirror = -np.arange(n) % n
+        noise = rng.normal(size=(n, n, n))
+        symbols = [LPPartition.for_grid(n, box).symbol(2, wave_magnitude(n, box)),
+                   noise + noise[np.ix_(mirror, mirror, mirror)]]  # even, not radial
+        for symbol in symbols:
+            ref = apply_symbol_complex(fld, symbol).data
+            for given in (symbol, symbol[..., :n // 2 + 1]):  # full cube, half
+                assert _max_rel(apply_symbol(fld, given).data, ref) < 1e-12
+
+    def test_divergence_matches_complex(self, fld):
+        ref = spectral_divergence_complex(fld).data
+        assert _max_rel(spectral_divergence(fld).data, ref) < 1e-12
+
+    def test_gradient_norm_matches_complex(self, fld):
+        ref = spectral_gradient_norm_complex(fld)
+        assert abs(spectral_gradient_norm(fld) - ref) < 1e-12 * ref
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_real_samples_match_irfftn(n):
+    rng = np.random.default_rng(n)
+    hat = (rng.normal(size=(n, n, n // 2 + 1))
+           + 1j * rng.normal(size=(n, n, n // 2 + 1)))
+    ref = np.fft.irfftn(hat, s=(n, n, n), axes=(0, 1, 2))
+    assert _max_rel(real_samples(hat.copy(), n), ref) < 1e-13
+    out = np.empty((n, n, n))
+    assert real_samples(hat.copy(), n, out=out) is out
+    assert _max_rel(out, ref) < 1e-13
+    padded = hat.copy()
+    padded[..., n // 4:] = 0.0  # columns a short spectrum leaves out are zero
+    assert _max_rel(real_samples(hat[..., :n // 4].copy(), n),
+                    np.fft.irfftn(padded, s=(n, n, n), axes=(0, 1, 2))) < 1e-13
