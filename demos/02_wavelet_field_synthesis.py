@@ -20,7 +20,7 @@ basis = cl.build_wavelet_basis(2.0, 64, n_window=(0, 2), base_scale=4.0)
 print("basis id:", basis.basis_id, "| max snap offset:",
       round(basis.max_snap_offset, 4))
 print("ball centers (dimensionless):")
-print(np.round(basis.ball_centers, 4))
+print(np.round(basis.geometry.centers(), 4))
 
 print("\nprofile invariants:")
 for i, psi in enumerate(basis.psi, start=1):

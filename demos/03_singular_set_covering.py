@@ -65,7 +65,7 @@ for row in report.per_level:
           f"{row.vitali_count:4d} / {row.covering_count:5d}")
 print(f"\nfitted dimension estimate: {report.d_est}")
 print(f"fit residual:              {report.residual}")
-print(f"bound at these parameters: {report.desk_bound:.3f}")
-print(f"bound at full offset:      {report.reference_bound:.3f}")
+print(f"bound at these parameters: {report.params.desk_bound:.3f}")
+print(f"bound at full offset:      {report.params.reference_bound:.3f}")
 for note in report.notes:
     print("note:", note)

@@ -18,6 +18,8 @@ simulate -> synthesize -> analyze.
 
 from importlib import import_module
 
+__version__ = "0.1.0"
+
 # bound now, or importing the submodule would leave it under the same name
 from .integrate import integrate, rk4_fixed_step
 
@@ -35,11 +37,9 @@ _EXPORTS = dict(
     spectral="BandRangeError LPPartition lp_project",
     tensor="CoefficientTensor TensorKeyError ValidationReport dyadic_cascade_tensor "
            "random_valid_tensor validate_tensor",
-    wavelets="BasisGeometryError UnresolvedShellError WaveletBasis build_wavelet_basis "
+    wavelets="UnresolvedShellError WaveletBasis build_wavelet_basis "
              "project_coefficients synthesize_checked synthesize_field")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-
-__version__ = "0.1.0"
 
 __all__ = sorted([*_EXPORTS, *_SOURCE, "integrate", "rk4_fixed_step"])
 

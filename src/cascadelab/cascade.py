@@ -311,8 +311,6 @@ def builtin_dyadic_config(lam: float, alpha: float, n_range: tuple[int, int],
 
     with no decay term.  ``lam = 2`` is accepted for the dyadic demo.
     """
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if n_min > n_max:
-        raise ValueError(f"empty shell range {n_range!r}")
-    return CascadeConfig(lam=lam, alpha=alpha, n_min=n_min, n_max=n_max,
+    n_min, n_max = n_range
+    return CascadeConfig(lam=lam, alpha=alpha, n_min=int(n_min), n_max=int(n_max),
                          kappa=kappa, tensor=dyadic_cascade_tensor())

@@ -64,14 +64,12 @@ def main(argv=None) -> int:
                               ("max_roundtrip_error", "manifest_digest")},
                              sort_keys=True))
             return 0
-        if args.subcommand == "analyze":
-            result = pipeline.run_analyze(args.snapshots, args.params, args.out)
-            print(json.dumps({"manifest_digest": result["manifest_digest"],
-                              "d_est": result["report"]["d_est"]},
-                             sort_keys=True))
-            return 0
-        raise InputError(f"unknown subcommand {args.subcommand!r}")
-    except (DomainError, MemoryError) as exc:  # MemoryError: an input too large to hold
+        # analyze: the required subparsers admit no other subcommand
+        result = pipeline.run_analyze(args.snapshots, args.params, args.out)
+        print(json.dumps({"manifest_digest": result["manifest_digest"],
+                          "d_est": result["report"]["d_est"]}, sort_keys=True))
+        return 0
+    except (DomainError, MemoryError, OverflowError) as exc:  # too large to hold or compute
         print(f"domain violation: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:  # OSError: a path not readable or writable

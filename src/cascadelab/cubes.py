@@ -47,8 +47,10 @@ def level_geometry(j: int, epsilon: float, n_grid: int) -> tuple[int, float]:
     """Snapped side in cells and the exact (unsnapped) request.
 
     Raises :class:`LevelResolutionError` when the level is coarser than
-    the box or finer than ``MIN_SIDE_CELLS`` cells.
+    the box or finer than ``MIN_SIDE_CELLS`` cells (before any power that overflows).
     """
+    if abs(j) > 1e300 or abs(j * (1.0 - epsilon)) > 1000:
+        raise LevelResolutionError(f"level {j} requests a side beyond float range")
     exact = n_grid * 2.0 ** (-j * (1.0 - epsilon))
     if exact > n_grid * (1.0 + 1e-12):
         raise LevelResolutionError(
@@ -62,13 +64,22 @@ def level_geometry(j: int, epsilon: float, n_grid: int) -> tuple[int, float]:
 
 
 def finest_level(epsilon: float, n_grid: int) -> int:
-    j = 0
-    while True:
+    """Largest j >= 0 with levels 1..j resolvable.  Sides shrink with j, and
+    level j resolves while ``j (1 - eps) <= log2 N - 1.5`` (a side of 2**1.5
+    cells snaps to 4); rounding moves that estimate by a step or two."""
+    def resolves(j):
         try:
-            level_geometry(j + 1, epsilon, n_grid)
+            level_geometry(j, epsilon, n_grid)
         except LevelResolutionError:
-            return j
+            return False
+        return True
+
+    j = max(int((np.log2(n_grid) - 1.5) // (1.0 - epsilon)), 0)
+    while j > 0 and not resolves(j):
+        j -= 1
+    while resolves(j + 1):
         j += 1
+    return j
 
 
 def cube_hierarchy(j: int, epsilon: float, n_grid: int) -> list[CubeId]:

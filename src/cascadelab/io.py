@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                       N_SPECIES, state_from_entries)
 from .grid import GridField, _is_power_of_two
@@ -31,7 +32,7 @@ SCHEMA_PARAMS = "regularity-params/1"
 SCHEMA_REPORT = "covering-report/1"
 SCHEMA_MANIFEST = "run-manifest/1"
 
-TOOL_VERSION = "cascadelab 0.1.0"
+TOOL_VERSION = f"cascadelab {__version__}"
 
 
 def _typed(value, kinds=(int, float)) -> bool:

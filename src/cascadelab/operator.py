@@ -56,8 +56,7 @@ def apply_cascade_operator(u: GridField, v: GridField,
 
 
 def paraproduct_split(u: GridField, tensor: CoefficientTensor,
-                      basis: WaveletBasis, j: int, width: int = 2,
-                      partition: LPPartition | None = None
+                      basis: WaveletBasis, j: int, width: int = 2
                       ) -> tuple[GridField, GridField, GridField, GridField]:
     """Split ``P_j C(u,u)`` into (lh, hl, hh, loc) regime parts.
 
@@ -75,8 +74,7 @@ def paraproduct_split(u: GridField, tensor: CoefficientTensor,
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if partition is None:
-        partition = LPPartition.for_grid(u.n_grid, u.box_size)
+    partition = LPPartition.for_grid(u.n_grid, u.box_size)
     partition.check(j)
     plan = _plan(tensor, basis)
     x = project_coefficients(u, basis)

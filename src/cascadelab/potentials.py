@@ -7,7 +7,8 @@ integrals:
     Gamma(x, y, z) = f(z) * int_{-inf}^x int_{-inf}^y int_R psi(r, s, t) dt ds dr
     Xi(x, y, z)    = int_{-inf}^z (psi - d_x Gamma - d_y Gamma)(x, y, t) dt
 
-where ``f`` is any smooth compactly supported 1D profile.  Zero momentum is
+where ``f`` is any smooth compactly supported 1D profile (here a fixed
+mollifier bump, supported in the middle 60% of the box).  Zero momentum is
 necessary: without it the cumulative mass does not return to zero at the
 far face of the box and no decaying potential exists, so such inputs are
 rejected.
@@ -56,13 +57,7 @@ def backward_divergence(fld: GridField) -> np.ndarray:
             + backward_diff(fld.data[2], 2, h))
 
 
-def default_z_profile(n_grid: int) -> np.ndarray:
-    """Mollifier bump along z, supported in the middle 60% of the box."""
-    return radial_bump(((np.arange(n_grid) + 0.5) / n_grid - 0.5) / 0.3)
-
-
-def divergence_potential(psi: GridField,
-                         f_profile: np.ndarray | None = None) -> GridField:
+def divergence_potential(psi: GridField) -> GridField:
     """Vector potential ``Psi`` with ``div Psi = psi`` (one-sided calculus).
 
     Parameters
@@ -70,9 +65,6 @@ def divergence_potential(psi: GridField,
     psi : GridField
         Scalar profile; must have (numerically) zero integral and decay to
         ~0 near the box faces (``MOMENTUM_TOL``, ``BOUNDARY_TOL``).
-    f_profile : ndarray, optional
-        Samples of the free 1D profile ``f(z)``; any smooth compactly
-        supported choice works.  Defaults to a centered mollifier bump.
 
     Returns
     -------
@@ -108,12 +100,7 @@ def divergence_potential(psi: GridField,
             f"profile does not decay at the box faces "
             f"(boundary/peak = {boundary / peak:.2e} > {BOUNDARY_TOL:.1e})")
 
-    if f_profile is None:
-        f_profile = default_z_profile(n)
-    f_profile = np.asarray(f_profile, dtype=float)
-    if f_profile.shape != (n,):
-        raise ValueError(f"f_profile must have shape ({n},), got {f_profile.shape}")
-
+    f_profile = radial_bump(((np.arange(n) + 0.5) / n - 0.5) / 0.3)
     z_total = np.sum(data, axis=2) * h                    # int psi dz  -> (x, y)
     gamma_xy = cumulative(cumulative(z_total, 0, h), 1, h)
     gamma = gamma_xy[:, :, None] * f_profile[None, None, :]

@@ -72,6 +72,8 @@ class RegularityParams:
     def __post_init__(self):
         if min(self.alpha, self.gamma, self.K_threshold) <= 0 or self.epsilon <= 0:
             raise ValueError("alpha, epsilon, gamma, K_threshold must be positive")
+        if self.epsilon >= 1:  # every level would snap to the whole box
+            raise ValueError(f"epsilon must be below 1, got {self.epsilon}")
         if self.nuclear_depth < 0 or self.window_exponent <= 0:
             raise ValueError("nuclear_depth >= 0 and window_exponent > 0 required")
         if self.vitali_pre_dilation < 1.0:
@@ -405,22 +407,14 @@ class CoveringReport:
     notes: list[str] = field(default_factory=list)
     analysis_stats: dict = field(default_factory=dict)
 
-    @property
-    def desk_bound(self) -> float:
-        return self.params.desk_bound
-
-    @property
-    def reference_bound(self) -> float:
-        return self.params.reference_bound
-
     def to_dict(self) -> dict:
         return {
             "params": self.params.to_dict(),
             "per_level": [row.to_dict() for row in self.per_level],
             "d_est": self.d_est,
             "residual": self.residual,
-            "desk_bound": self.desk_bound,
-            "paper_bound": self.reference_bound,
+            "desk_bound": self.params.desk_bound,
+            "paper_bound": self.params.reference_bound,
             "notes": list(self.notes),
             "analysis_stats": dict(self.analysis_stats),
         }

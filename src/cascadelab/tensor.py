@@ -187,8 +187,8 @@ def dyadic_cascade_tensor() -> CoefficientTensor:
     })
 
 
-def random_valid_tensor(rng: np.random.Generator, n_groups: int = 4,
-                        scale: float = 1.0) -> CoefficientTensor:
+def random_valid_tensor(rng: np.random.Generator,
+                        n_groups: int = 4) -> CoefficientTensor:
     """Draw a random tensor satisfying both constraints exactly.
 
     For each group a random multiset of (species, offset) pairs is drawn,
@@ -221,7 +221,7 @@ def random_valid_tensor(rng: np.random.Generator, n_groups: int = 4,
             continue  # forced to zero, not useful
         if any(sig == group_signature(k) for k in entries):
             continue
-        values = [float(rng.normal(scale=scale)) for _ in class_list[:-1]]
+        values = [float(rng.normal()) for _ in class_list[:-1]]
         weight_last = len(class_list[-1])
         values.append(-sum(v * len(c) for v, c in zip(values, class_list))
                       / weight_last)

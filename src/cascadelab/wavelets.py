@@ -52,10 +52,6 @@ DEFAULT_DIRECTIONS = np.array([
 ])
 
 
-class BasisGeometryError(ValueError):
-    """Ball layout violates the annulus or mutual-disjointness constraints."""
-
-
 class UnresolvedShellError(ValueError):
     """A requested shell has no resolvable grid modes (or exceeds Nyquist)."""
 
@@ -76,35 +72,14 @@ class BallGeometry:
     ball_radius: float
 
     @classmethod
-    def for_lambda(cls, lam: float, directions: np.ndarray | None = None,
-                   ball_radius: float | None = None) -> "BallGeometry":
-        if directions is None:
-            directions = DEFAULT_DIRECTIONS
-        directions = np.asarray(directions, dtype=float)
-        norms = np.linalg.norm(directions, axis=1)
-        directions = directions / norms[:, None]
-        if ball_radius is None:
-            ball_radius = 0.9 * (lam - 1.0) / 4.0
-        geo = cls(directions, (1.0 + (lam + 1.0) / 2.0) / 2.0, float(ball_radius))
-        geo.validate(lam)
-        return geo
-
-    def validate(self, lam: float):
-        r0, rho = self.center_radius, self.ball_radius
-        if self.directions.shape != (4, 3):
-            raise BasisGeometryError("need exactly four ball directions")
-        if rho <= 0:
-            raise BasisGeometryError("ball radius must be positive")
-        if not (r0 - rho > 1.0 and r0 + rho <= (lam + 1.0) / 2.0 + 1e-12):
-            raise BasisGeometryError(
-                f"balls (r0={r0}, rho={rho}) do not fit the annulus "
-                f"(1, {(lam + 1.0) / 2.0}]")
-        centers = np.concatenate([self.directions, -self.directions]) * r0
-        for a in range(len(centers)):
-            for b in range(a + 1, len(centers)):
-                if np.linalg.norm(centers[a] - centers[b]) <= 2.0 * rho:
-                    raise BasisGeometryError(
-                        f"signed balls {a} and {b} are not disjoint")
+    def for_lambda(cls, lam: float) -> "BallGeometry":
+        """The one layout; for 1 < lam <= 2, ``r0 - rho > 1``, ``r0 + rho <=
+        (lam+1)/2`` and signed centers ``>= 0.919 r0`` apart, against ``2 rho
+        <= 0.36 r0``: balls disjoint and in the annulus, so shells are too."""
+        if not 1.0 < lam <= 2.0:
+            raise ValueError(f"scale ratio must satisfy 1 < lam <= 2, got {lam}")
+        return cls(DEFAULT_DIRECTIONS.copy(), (1.0 + (lam + 1.0) / 2.0) / 2.0,
+                   0.9 * (lam - 1.0) / 4.0)
 
     def centers(self) -> np.ndarray:
         return self.center_radius * self.directions
@@ -135,14 +110,6 @@ class WaveletBasis:
     @property
     def box_size(self) -> float:
         return 2.0 * np.pi * self.base_scale
-
-    @property
-    def ball_centers(self) -> np.ndarray:
-        return self.geometry.centers()
-
-    @property
-    def ball_radius(self) -> float:
-        return self.geometry.ball_radius
 
     def covers(self, n_min: int, n_max: int) -> bool:
         return self.n_window[0] <= n_min and n_max <= self.n_window[1]
@@ -204,21 +171,18 @@ def build_wavelet_basis(lam: float, n_grid: int,
 
     Raises
     ------
-    BasisGeometryError
-        If the ball layout cannot sit inside the annulus with disjoint
-        signed copies.
     UnresolvedShellError
         If some requested shell contains no grid mode or pokes past the
         Nyquist sphere.
     """
-    if not 1.0 < lam <= 2.0:
-        raise ValueError(f"scale ratio must satisfy 1 < lam <= 2, got {lam}")
+    geometry = BallGeometry.for_lambda(lam)
     if not _is_power_of_two(n_grid):
         raise ValueError(f"grid side must be a power of two, got {n_grid}")
     n_lo, n_hi = int(n_window[0]), int(n_window[1])
     if n_lo > n_hi:
         raise ValueError(f"empty shell window {n_window!r}")
-    geometry = BallGeometry.for_lambda(lam)
+    if not base_scale > 0:
+        raise ValueError(f"base_scale must be positive, got {base_scale}")
 
     box = 2.0 * np.pi * base_scale
     # physical frequency of mode k is k / base_scale
@@ -227,7 +191,6 @@ def build_wavelet_basis(lam: float, n_grid: int,
     norm_factor = box ** 3 / n_grid ** 6  # Parseval weight for FFT-layout sums
 
     shells: dict[tuple[int, int], SpectralShell] = {}
-    claimed = np.zeros(n_grid ** 3, dtype=bool)
     for n in range(n_lo, n_hi + 1):
         scale = lam ** n
         outer = (geometry.center_radius + geometry.ball_radius) * scale
@@ -267,12 +230,6 @@ def build_wavelet_basis(lam: float, n_grid: int,
             flip = iz > n_grid // 2  # outside the rfftn half: read the mirror
             hx, hy, hz = (np.where(flip, -a % n_grid, a) for a in (ix, iy, iz))
             half_idx = (hx * n_grid + hy) * (n_grid // 2 + 1) + hz
-
-            if np.any(claimed[flat_idx]):
-                raise BasisGeometryError(
-                    f"shell {n}, species {i + 1}: spectral support overlaps "
-                    "an earlier shell")
-            claimed[flat_idx] = True
 
             norm = np.sqrt(np.sum(amp ** 2) * norm_factor)
             if norm == 0:

@@ -44,6 +44,34 @@ class TestHierarchy:
         with pytest.raises(LevelResolutionError):
             level_geometry(jf + 1, 0.0, 64)
 
+    def test_finest_level_matches_a_scan_of_the_levels(self):
+        def scan(eps, n):  # the first j whose next level is unresolvable
+            j = 0
+            while True:
+                try:
+                    level_geometry(j + 1, eps, n)
+                except LevelResolutionError:
+                    return j
+                j += 1
+
+        epsilons = [*np.linspace(0.001, 0.995, 200), 1 / 3, 2 / 3,
+                    *(1 - 2.0 ** -k for k in range(1, 9))]
+        for n in (8, 16, 32, 64, 128, 256):
+            for eps in epsilons:
+                assert finest_level(eps, n) == scan(eps, n), (eps, n)
+
+    def test_finest_level_near_one_is_immediate(self):
+        # a scan would step through about 4.5e9 levels here
+        j = finest_level(1 - 1e-9, 64)
+        level_geometry(j, 1 - 1e-9, 64)
+        with pytest.raises(LevelResolutionError):
+            level_geometry(j + 1, 1 - 1e-9, 64)
+
+    @pytest.mark.parametrize("j", [2000, -2000, 10 ** 400, -(10 ** 400)])
+    def test_level_beyond_float_range_rejected(self, j):
+        with pytest.raises(LevelResolutionError, match="beyond float range"):
+            level_geometry(j, 0.25, 64)
+
 
 class TestBumpProfile:
     def test_center_value_one_outside_zero(self):

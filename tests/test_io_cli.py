@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -587,6 +588,25 @@ MALFORMED_INPUT = [
                  id="synthesize-n-grid-too-large-to-hold"),
     pytest.param(_analyze_with(sidecar_fields={"n_grid": 2 ** 20}), 2,
                  id="analyze-sidecar-n-grid-over-small-raw"),
+    # every level would snap to the whole box, and the level scan never ended
+    pytest.param(_analyze_with({"epsilon": 1.0}), 1, id="params-epsilon-one"),
+    # numbers whose float arithmetic overflows, on 16^3 grids, where level 2
+    # and its bands 2 and 3 resolve
+    pytest.param(_analyze_with({"alpha": 1000}, grids=(16, 16, 16)), 1,
+                 id="params-alpha-overflows-band-weight"),
+    pytest.param(_analyze_with({"window_base": 0.5, "window_exponent": 3000},
+                               grids=(16, 16, 16)), 1,
+                 id="params-window-width-overflows"),
+    pytest.param(_analyze_with({"levels": [2000]}), 0,
+                 id="params-level-beyond-float-range-fine"),
+    pytest.param(_analyze_with({"levels": [-2000]}), 0,
+                 id="params-level-beyond-float-range-coarse"),
+    pytest.param(_synthesize_with(basis={"base_scale": 0}), 1,
+                 id="basis-base-scale-zero"),
+    pytest.param(_synthesize_with(basis={"base_scale": -1}), 1,
+                 id="basis-base-scale-negative"),
+    pytest.param(_synthesize_with(basis={"base_scale": 1e300}), 1,
+                 id="basis-base-scale-overflows"),
 ]
 
 
@@ -610,6 +630,30 @@ def test_wrong_kind_names_document_and_field(tmp_path, capsys, make_argv,
     capsys.readouterr()
     assert main(argv) == 2
     assert f"{document}: {field} " in capsys.readouterr().err
+
+
+def test_negative_base_scale_is_named(tmp_path, capsys):
+    argv = _synthesize_with(basis={"base_scale": -1})(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "base_scale must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [2000, -2000])
+def test_level_beyond_float_range_is_skipped_with_a_note(tmp_path, level):
+    argv = _analyze_with({"levels": [2, level]})(tmp_path)
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [row["j"] for row in report["per_level"]] == [2]
+    assert (f"level {level} skipped: level {level} requests a side beyond "
+            "float range") in report["notes"]
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, since tomllib needs Python 3.11 and 3.10 is supported
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == cascadelab.__version__
+    assert iomod.TOOL_VERSION == f"cascadelab {cascadelab.__version__}"
 
 
 def test_failed_synthesize_leaves_no_raw_file(tmp_path):

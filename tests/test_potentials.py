@@ -86,10 +86,3 @@ def test_random_zero_momentum_batch():
         data = random_zero_momentum_profile(rng)
         out = divergence_potential(GridField(data[None], L))
         assert out.meta["div_residual"] < 1e-6
-
-
-def test_bad_f_profile_shape_rejected():
-    g, xx = gaussian()
-    psi = GridField((-xx / 0.35 ** 2 * g)[None], L)
-    with pytest.raises(ValueError):
-        divergence_potential(psi, f_profile=np.ones(7))

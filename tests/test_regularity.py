@@ -6,7 +6,8 @@ import pytest
 from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
 from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
-                                   _terminal_window_mean, analyze_snapshots,
+                                   _level_badness, _terminal_window_mean,
+                                   analyze_snapshots,
                                    classify_level_records, dimension_estimate,
                                    mode_partition, mode_radii)
 from oracles import (badness_functional, band_project, classify_level,
@@ -185,6 +186,28 @@ class TestBadnessFunctional:
         hot = CubeId(2, (1, 1, 1), EPS)   # octant holding the envelope
         lhs, thr = badness_functional(snaps, hot, make_params(K_threshold=1e-8))
         assert lhs >= thr
+
+    def test_window_wider_than_span_weights_the_whole_integral(self):
+        # W**(-w j) = 0.5**(-2) = 4 exceeds the sampled span [0, 3]
+        snaps = [GridField(s.data, s.box_size, 3.0 * s.time_tag) for s in
+                 localized_snapshots(np.random.default_rng(5), grow=1.2)]
+        params = make_params(window_base=0.5, window_exponent=1)
+        cache = CoefficientCache(snaps, EPS)
+        j, times = 2, cache.times
+        expected = 0.5 ** j * np.trapezoid(
+            cache.family_sq(j, params.nuclear_depth), times, axis=0)
+        for k in range(j, cache.partition.j_max + 1):
+            expected = expected + 2.0 ** (2 * params.alpha * k) * np.trapezoid(
+                cache.table(j, k) ** 2, times, axis=0)
+        assert np.all(expected > 0)
+        np.testing.assert_allclose(_level_badness(cache, j, params), expected,
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1.5])
+def test_epsilon_at_or_above_one_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be below 1"):
+        make_params(epsilon=epsilon)
 
 
 class TestClassifyLevel:

@@ -5,8 +5,8 @@ import pytest
 
 from cascadelab.grid import (GridField, inner, l2_norm, mean_integral,
                              spectral_divergence, spectral_gradient_norm)
-from cascadelab.wavelets import (BallGeometry, BasisGeometryError,
-                                 UnresolvedShellError, _polarization,
+from cascadelab.wavelets import (BallGeometry, UnresolvedShellError,
+                                 _polarization,
                                  build_wavelet_basis, project_coefficients,
                                  radial_bump, synthesize_field)
 
@@ -30,23 +30,30 @@ def materialize_shell(basis, i, n):
 
 class TestGeometry:
     def test_default_geometry_valid(self):
-        for lam in (1.1, 1.5, 1.7, 2.0):
+        # the one layout fits the annulus with disjoint signed balls for
+        # every lam in (1, 2], which is what makes the shells disjoint
+        for lam in (1.0 + 1e-9, 1.1, 1.5, 1.7, 2.0):
             geo = BallGeometry.for_lambda(lam)
+            assert np.array_equal(np.linalg.norm(geo.directions, axis=1),
+                                  np.ones(4))
             assert geo.center_radius - geo.ball_radius > 1.0
             assert geo.center_radius + geo.ball_radius <= (lam + 1) / 2 + 1e-12
+            signed = np.concatenate([geo.centers(), -geo.centers()])
+            gaps = np.linalg.norm(signed[:, None] - signed[None], axis=-1)
+            assert np.min(gaps[~np.eye(8, dtype=bool)]) > 2 * geo.ball_radius
 
-    def test_balls_must_fit_annulus(self):
-        with pytest.raises(BasisGeometryError):
-            BallGeometry.for_lambda(1.5, ball_radius=0.5)
+    @pytest.mark.parametrize("lam", [1.0, 2.5])
+    def test_lambda_out_of_range_rejected(self, lam):
+        with pytest.raises(ValueError, match="1 < lam <= 2"):
+            BallGeometry.for_lambda(lam)
 
-    def test_nearly_parallel_directions_rejected(self):
-        dirs = np.array([[1, 0, 0], [1, 0.001, 0], [0, 1, 0], [0, 0, 1]],
-                        dtype=float)
-        with pytest.raises(BasisGeometryError):
-            BallGeometry.for_lambda(2.0, directions=dirs)
+    @pytest.mark.parametrize("base_scale", [0.0, -1.0])
+    def test_nonpositive_base_scale_rejected(self, base_scale):
+        with pytest.raises(ValueError, match="base_scale must be positive"):
+            build_wavelet_basis(2.0, 32, base_scale=base_scale)
 
     def test_centers_inside_annulus(self, basis32):
-        radii = np.linalg.norm(basis32.ball_centers, axis=1)
+        radii = np.linalg.norm(basis32.geometry.centers(), axis=1)
         assert np.all(radii > 1.0)
         assert np.all(radii <= (basis32.lam + 1) / 2)
 
