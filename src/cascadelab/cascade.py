@@ -16,6 +16,7 @@ set), so the quadratic part conserves energy exactly on the finite window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +52,18 @@ class CascadeConfig:
             raise ValueError(f"dissipation prefactor must be >= 0, got {self.kappa}")
         if self.n_min > self.n_max:
             raise ValueError(f"empty shell window [{self.n_min}, {self.n_max}]")
+        # rates, term weights and guard weights lam**(2n) all grow with n
+        for what, factor, exponent in (
+                ("dissipation rate kappa*lam**(2*alpha*n)", self.kappa,
+                 2.0 * self.alpha), ("term weight lam**(2.5*n)", 1.0, 2.5)):
+            try:
+                finite = math.isfinite(factor * self.lam ** (exponent * self.n_max))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"{what} at shell n_max = {self.n_max} is beyond float range "
+                    f"(lambda {self.lam}, alpha {self.alpha}, kappa {self.kappa})")
         if self.check_tensor:
             report = validate_tensor(self.tensor)
             if not report.valid:

@@ -47,7 +47,9 @@ def level_geometry(j: int, epsilon: float, n_grid: int) -> tuple[int, float]:
     """Snapped side in cells and the exact (unsnapped) request.
 
     Raises :class:`LevelResolutionError` when the level is coarser than
-    the box or finer than ``MIN_SIDE_CELLS`` cells (before any power that overflows).
+    the box, finer than ``MIN_SIDE_CELLS`` cells, or so fine that its
+    :class:`BumpProfile` margin underflows to 0; a side beyond float range
+    is rejected before any power that overflows.
     """
     if abs(j) > 1e300 or abs(j * (1.0 - epsilon)) > 1000:
         raise LevelResolutionError(f"level {j} requests a side beyond float range")
@@ -60,13 +62,17 @@ def level_geometry(j: int, epsilon: float, n_grid: int) -> tuple[int, float]:
     if snapped < MIN_SIDE_CELLS:
         raise LevelResolutionError(
             f"level {j} snaps to {snapped} cells, below the {MIN_SIDE_CELLS}-cell floor")
+    if epsilon * j > 0 and 0.5 * snapped * 2.0 ** (-epsilon * j) == 0:
+        raise LevelResolutionError(
+            f"level {j} cutoff margin 0.5 side 2**(-epsilon j) underflows to 0")
     return snapped, exact
 
 
 def finest_level(epsilon: float, n_grid: int) -> int:
     """Largest j >= 0 with levels 1..j resolvable.  Sides shrink with j, and
     level j resolves while ``j (1 - eps) <= log2 N - 1.5`` (a side of 2**1.5
-    cells snaps to 4); rounding moves that estimate by a step or two."""
+    cells snaps to 4) and its cutoff margin, ``2**(-eps j) / 2`` sides,
+    stays above 0; rounding moves that estimate by a step or two."""
     def resolves(j):
         try:
             level_geometry(j, epsilon, n_grid)
@@ -75,6 +81,8 @@ def finest_level(epsilon: float, n_grid: int) -> int:
         return True
 
     j = max(int((np.log2(n_grid) - 1.5) // (1.0 - epsilon)), 0)
+    if epsilon > 0:  # past this the margin 2**(-eps j) side/2 is below 2**-1074
+        j = min(j, int((1076 + np.log2(n_grid)) / epsilon))
     while j > 0 and not resolves(j):
         j -= 1
     while resolves(j + 1):

@@ -53,6 +53,11 @@ OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
 TWO_INTEGERS = ("two integers", lambda v: _integers(v) and len(v) == 2, tuple)
 DISTINCT_INTEGERS = ("a list of distinct integers",
                      lambda v: _integers(v) and len(set(v)) == len(v), list)
+TEXT = ("a string", lambda v: isinstance(v, str), str)
+SNAPSHOT_PATHS = ("a list of snapshot .raw paths",
+                  lambda v: isinstance(v, list) and all(
+                      isinstance(p, str) and p.endswith(".raw") for p in v),
+                  list)
 TENSOR_ROWS = ("a list of rows of six integers and a number",
                lambda v: isinstance(v, list) and all(
                    isinstance(row, list) and len(row) == 7
@@ -75,6 +80,8 @@ FIELDS = {
     SCHEMA_TRAJECTORY: ({"n_min": INTEGER, "n_max": INTEGER}, {}),
     SCHEMA_SNAPSHOT: ({"n_grid": INTEGER, "components": INTEGER,
                        "box_size": NUMBER, "time": NUMBER_OR_NULL}, {}),
+    # read by ``analyze`` from beside the snapshots: a synthesize manifest
+    SCHEMA_MANIFEST: ({"digest": TEXT, "outputs": SNAPSHOT_PATHS}, {}),
 }
 #: the integrator block of a cascade config, which takes no other key
 INTEGRATOR_FIELDS = ({}, {**{name: INTEGER if kinds is int else NUMBER
@@ -291,7 +298,7 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
 def save_snapshot(fld: GridField, path_base, basis_id: str = "",
                   extra: dict | None = None) -> tuple[str, dict]:
     """Write the raw samples; return their path and the sidecar document,
-    which the caller completes and writes once to ``<path_base>.json``."""
+    which the caller writes to ``<path_base>.json``."""
     raw_path = str(path_base) + ".raw"
     fld.data.astype("<f8", copy=False).tofile(raw_path)
     doc = {

@@ -118,10 +118,10 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     """Synthesize field snapshots at the requested times.
 
     Each time must lie inside the trajectory span; states are linearly
-    interpolated between the two bracketing samples.  The worst
-    round-trip coefficient recovery error across snapshots is recorded.
-    Snapshots are synthesized on the snapshot pool and written here, in
-    order.
+    interpolated between the two bracketing samples.  Each sidecar records
+    its snapshot's round-trip coefficient recovery error, and the worst is
+    returned.  Snapshots are synthesized on the snapshot pool and written
+    here, in order, each sidecar once.
     """
     synthesize = _deferred("synthesize_checked")
     start = time.monotonic()
@@ -142,6 +142,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
         "synthesize", sidecar.get("config_digest", ""),
         {"times": list(times), "basis_id": basis.basis_id},
         [str(trajectory_path), str(basis_config_path)], [], 0.0)
+    manifest_digest = manifest.digest
 
     def jobs():
         for t in times:
@@ -157,22 +158,16 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
             raise iomod.DomainError(
                 f"{trajectory_path} at time {job[-1]}: {exc}") from exc
 
-    written = []  # (path base, sidecar document) per snapshot
     max_roundtrip = 0.0
     with _publish(manifest, out_dir, start) as claim:
         for idx, (fld, err) in enumerate(map_snapshots(checked, jobs())):
             max_roundtrip = max(max_roundtrip, err)
             base = os.path.join(out_dir, f"snapshot_{idx:04d}")
-            claim(f"{base}.raw")
-            written.append((base, iomod.save_snapshot(fld, base, basis.basis_id, {
-                "roundtrip_error": err, "n_min": n_min, "n_max": n_max})[1]))
-        manifest.outputs = [base + ".raw" for base, _ in written]
-        manifest.parameters["max_roundtrip_error"] = max_roundtrip
-        manifest_digest = manifest.digest
-        for base, sidecar in written:  # written once, with the final digest
-            sidecar["manifest_digest"] = manifest_digest
-            iomod.dump_json(sidecar, claim(f"{base}.json"))
-    return {"written": [base for base, _ in written],
+            manifest.outputs.append(claim(f"{base}.raw", f"{base}.json"))
+            iomod.dump_json(iomod.save_snapshot(fld, base, basis.basis_id, {
+                "roundtrip_error": err, "n_min": n_min, "n_max": n_max,
+                "manifest_digest": manifest_digest})[1], f"{base}.json")
+    return {"written": [raw[:-4] for raw in manifest.outputs],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
 
@@ -190,10 +185,16 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     params, doc = load_regularity_params(params_path)
     levels = doc["levels"]
 
-    bases = sorted(
-        os.path.join(snapshot_dir, name[:-5])
-        for name in os.listdir(snapshot_dir)
-        if name.startswith("snapshot_") and name.endswith(".json"))
+    manifest_path = os.path.join(snapshot_dir, "manifest.json")
+    if os.path.exists(manifest_path):  # the snapshots its synthesize run wrote
+        fields, _ = iomod.read_document(manifest_path, iomod.SCHEMA_MANIFEST)
+        names = [os.path.basename(raw)[:-4] for raw in fields["outputs"]]
+        run = fields["digest"]
+    else:  # built by hand, or a manifest removed
+        names = sorted(name[:-5] for name in os.listdir(snapshot_dir)
+                       if name.startswith("snapshot_") and name.endswith(".json"))
+        run = None
+    bases = [os.path.join(snapshot_dir, name) for name in names]
     if len(bases) < 3:
         raise iomod.DomainError(
             f"need at least 3 snapshots in {snapshot_dir}, found {len(bases)}")
@@ -203,8 +204,13 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     for snap in snapshots:
         if snap.time_tag is None:
             raise iomod.InputError(f"{snap.base}.json: snapshot has no time tag")
-        if snap.sidecar.get("manifest_digest"):  # hand-built ones carry none
-            runs.setdefault(str(snap.sidecar["manifest_digest"]), snap)
+        digest = snap.sidecar.get("manifest_digest")
+        if run is not None and digest != run:
+            raise iomod.InputError(
+                f"{snap.base}.json: manifest digest {digest!r}, but "
+                f"{manifest_path} has {run}")
+        if digest:  # hand-built ones carry none
+            runs.setdefault(str(digest), snap)
     if len(runs) > 1:
         (d_a, a), (d_b, b) = list(runs.items())[:2]
         raise iomod.InputError(

@@ -40,7 +40,7 @@ from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
 from .grid import GridField, map_snapshots, real_samples, wave_magnitude
-from .spectral import LPPartition, chi_profile
+from .spectral import LPPartition
 
 VERDICT_BAD = "mildly_bad"
 VERDICT_REGULAR = "regular"
@@ -84,7 +84,8 @@ class RegularityParams:
         return self.epsilon if self.exponent_offset is None else self.exponent_offset
 
     def threshold(self, j: int) -> float:
-        return self.K_threshold * 2.0 ** (-self.desk_bound * j)
+        return self.K_threshold * _power(2.0, -self.desk_bound * j, (
+            f"alpha, epsilon, gamma and exponent_offset at level {j}"))
 
     @property
     def desk_bound(self) -> float:
@@ -145,7 +146,6 @@ class CoefficientCache:
         self.unresolved_bands: set[int] = set()
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
-        self._symbols: dict[int, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._weights: dict[int, np.ndarray] = {}
         self._family_sq: dict[tuple[int, int], np.ndarray] = {}
@@ -162,10 +162,15 @@ class CoefficientCache:
             else:
                 self.unresolved_bands.add(band)
         if needed:
-            # symbols and weights are built here, so no pool thread writes a cache
-            symbols = self._half_symbols(needed)
-            plan = {band: (symbols[band], {l: self._weights[l] for l in levels})
-                    for band, levels in needed.items()}
+            # symbols and weights are built here, so no pool thread writes a
+            # cache; a band symbol is zero beyond column 3 2**band (which
+            # bounds |k| from below) of the real-FFT half spectrum
+            plan = {}
+            for band, levels in needed.items():
+                cols = min(int(np.ceil(3.0 * 2.0 ** band)), self.n_grid // 2 + 1)
+                radii = self._half_radii[..., :cols]
+                plan[band] = (self.partition.symbol(band, radii),
+                              {l: self._weights[l] for l in levels})
             for s, rows in enumerate(map_snapshots(_snapshot_rows,
                                                    self._snapshot_jobs(plan))):
                 for key, row in rows.items():
@@ -183,29 +188,6 @@ class CoefficientCache:
             job = [fld.data], fld.cell_volume, plan
             del fld  # the job's list is then the one reference to the samples
             yield job
-
-    def _half_symbols(self, bands) -> dict[int, np.ndarray]:
-        """Band symbols on the real-FFT half spectrum, each up to its support
-        bound ``3 2**band`` (the column index is a lower bound on |k|).
-
-        ``chi(r / 2**k)`` is evaluated once per scale k, on the columns
-        where it is nonzero, and serves both bands it bounds: ``p_j =
-        chi(r / 2**j) - chi(r / 2**(j-1))``, the second term only where it
-        is nonzero (elsewhere it is exactly 0)."""
-        chi = {}
-
-        def chi_at(k):
-            if k not in chi:
-                cols = min(int(np.ceil(3.0 * 2.0 ** k)), self.n_grid // 2 + 1)
-                chi[k] = chi_profile(self._half_radii[..., :cols] / 2.0 ** k)
-            return chi[k]
-
-        for band in sorted(set(bands) - self._symbols.keys()):
-            symbol = chi_at(band).copy()
-            lower = chi_at(band - 1)
-            symbol[..., :lower.shape[-1]] -= lower
-            self._symbols[band] = symbol
-        return {band: self._symbols[band] for band in bands}
 
     def _axis_weights(self, level: int) -> np.ndarray:
         """(m, N) squared cutoff profile of each level cube along one axis."""
@@ -339,19 +321,29 @@ def _level_badness(cache: CoefficientCache, j: int,
     """
     cache.fill(cache.level_pairs(j, params.nuclear_depth))
     times = cache.times
-    width = params.window_base ** (-params.window_exponent * j)
+    window = f"window_base and window_exponent at level {j}"
+    width = _power(params.window_base, -params.window_exponent * j, window)
     term1, clipped = _terminal_window_mean(
         times, cache.family_sq(j, params.nuclear_depth), width)
     if clipped:
         # window wider than the sampled span: apply the raw weight
-        term1 = term1 * ((times[-1] - times[0]) * params.window_base ** (
-            params.window_exponent * j))
+        term1 = term1 * ((times[-1] - times[0]) * _power(
+            params.window_base, params.window_exponent * j, window))
 
     term2 = 0.0
     for k in range(j, cache.partition.j_max + 1):
-        term2 = term2 + 2.0 ** (2.0 * params.alpha * k) * np.trapezoid(
-            cache.table(j, k) ** 2, times, axis=0)
+        weight = _power(2.0, 2.0 * params.alpha * k, f"alpha at band {k}")
+        term2 = term2 + weight * np.trapezoid(cache.table(j, k) ** 2, times, axis=0)
     return term1 + term2
+
+
+def _power(base: float, exponent: float, inputs: str) -> float:
+    """``base ** exponent``; an overflow is an OverflowError naming ``inputs``."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise OverflowError(
+            f"{inputs}: {base} ** {exponent} is beyond float range") from None
 
 
 def classify_level_records(snapshots: list[GridField], j: int,
@@ -438,17 +430,24 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
         raise ValueError(f"levels must be distinct, got {levels!r}")
     if cache is None:
         cache = CoefficientCache(snapshots, params.epsilon)
-    cache.fill(pair for j in levels
+    notes, classified = [], []
+    for j in sorted(levels):  # report, do not abort
+        try:
+            level_geometry(j, params.epsilon, cache.n_grid)
+        except LevelResolutionError as exc:
+            notes.append(f"level {j} skipped: {exc}")
+            continue
+        if params.threshold(j) == 0:  # every cube would be flagged
+            notes.append(f"level {j} skipped: its threshold K_threshold "
+                         "2**(-desk_bound j) underflows to 0")
+        else:
+            classified.append(j)
+    cache.fill(pair for j in classified
                for pair in cache.level_pairs(j, params.nuclear_depth))
     rows = []
     counts = {}
-    notes = []
-    for j in sorted(levels):
-        try:
-            records = classify_level_records(snapshots, j, params, cache)
-        except LevelResolutionError as exc:  # report, do not abort
-            notes.append(f"level {j} skipped: {exc}")
-            continue
+    for j in classified:
+        records = classify_level_records(snapshots, j, params, cache)
         bad = [r.cube for r in records if r.verdict == VERDICT_BAD]
         selected = vitali_cover(bad, cache.n_grid, params.vitali_pre_dilation)
         n_cover = covering_count(selected, j, cache.n_grid,

@@ -188,7 +188,11 @@ def build_wavelet_basis(lam: float, n_grid: int,
     # physical frequency of mode k is k / base_scale
     freq = np.fft.fftfreq(n_grid, d=1.0 / n_grid) / base_scale
     nyq = 0.5 * n_grid / base_scale
-    norm_factor = box ** 3 / n_grid ** 6  # Parseval weight for FFT-layout sums
+    try:
+        norm_factor = box ** 3 / n_grid ** 6  # Parseval weight for FFT-layout sums
+    except OverflowError:
+        raise ValueError(f"base_scale {base_scale} overflows the Parseval "
+                         "weight (2 pi base_scale)**3") from None
 
     shells: dict[tuple[int, int], SpectralShell] = {}
     for n in range(n_lo, n_hi + 1):

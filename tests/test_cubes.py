@@ -72,6 +72,13 @@ class TestHierarchy:
         with pytest.raises(LevelResolutionError, match="beyond float range"):
             level_geometry(j, 0.25, 64)
 
+    def test_level_whose_margin_underflows_rejected(self):
+        # level 1000 snaps to the 16-cell box and level 1e9 to 8 cells; only
+        # the finer level's margin 4 * 2**(-(1 - 1e-9) 1e9) underflows to 0
+        assert level_geometry(1000, 1 - 1e-9, 16)[0] == 16
+        with pytest.raises(LevelResolutionError, match="margin"):
+            level_geometry(10 ** 9, 1 - 1e-9, 16)
+
 
 class TestBumpProfile:
     def test_center_value_one_outside_zero(self):

@@ -1,4 +1,5 @@
-"""The demos run to completion without a warning.
+"""The demos run to completion without a warning, and leave no temporary
+directory behind.
 
 Demos 02, 03 (at a 32^3 grid) and 04 take about a second each.  Demo 01
 is left out: it takes close to a minute.
@@ -30,3 +31,4 @@ def test_demo_runs_clean(tmp_path, argv):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert not list(tmp_path.glob("cascadelab_demo_*"))  # demo 04's tree

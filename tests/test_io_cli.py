@@ -19,9 +19,10 @@ from cascadelab.integrate import integrate
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-#: manifest digests of ``test_stage_digests_stay_pinned``'s simulate and
-#: analyze runs; a change to either changes what the manifests identify
+#: manifest digests of ``test_stage_digests_stay_pinned``'s simulate,
+#: synthesize and analyze runs; a change to one changes what it identifies
 SIMULATE_DIGEST = "cae95e10f6b64721af95f90f0db0aa03c99d9244f4ce91e2bfda41b55750f7ab"
+SYNTHESIZE_DIGEST = "baf2a586c12e32352697c25a605a77637d5c4fdd37e84dced718db88db60fb1e"
 ANALYZE_DIGEST = "b6148b94ea00c90229b73fbe03c867cfd83dea4729508cda833538de81996aac"
 
 
@@ -218,8 +219,11 @@ class TestCLI:
                      "--times", "0.005,0.01,0.015",
                      "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["parameters"]["max_roundtrip_error"] < 1e-8
-        assert len(list(out_dir.glob("snapshot_*.raw"))) == 3
+        assert set(manifest["parameters"]) == {"times", "basis_id"}
+        sidecars = sorted(out_dir.glob("snapshot_*.json"))
+        assert len(sidecars) == len(list(out_dir.glob("snapshot_*.raw"))) == 3
+        for path in sidecars:
+            assert json.loads(path.read_text())["roundtrip_error"] < 1e-8
 
     def test_synthesize_time_outside_span(self, tmp_path):
         config = write_config(tmp_path / "c.json", kappa=1.0,
@@ -517,6 +521,20 @@ WRONG_KIND = {
         _analyze_with({"levels": DROP}), "params.json", "levels"),
 }
 
+#: inputs whose float arithmetic overflows (the params on 16^3 grids, where
+#: level 2 and its bands 2 and 3 resolve): id -> (argv, input named)
+OVERFLOWS = {
+    "params-alpha-overflows-band-weight": (
+        _analyze_with({"alpha": 1000}, grids=(16, 16, 16)), "alpha"),
+    "params-window-width-overflows": (
+        _analyze_with({"window_base": 0.5, "window_exponent": 3000},
+                      grids=(16, 16, 16)), "window_base and window_exponent"),
+    "basis-base-scale-overflows": (
+        _synthesize_with(basis={"base_scale": 1e300}), "base_scale"),
+    "config-alpha-overflows-dissipation-rate": (
+        _simulate_with({}, config={"alpha": 1000, "n_max": 3}), "alpha"),
+}
+
 MALFORMED_INPUT = [
     pytest.param(_simulate_with({"bogus": 1.0}), 2, id="integrator-unknown-key"),
     pytest.param(_simulate_with({"rel_tol": 0.5}), 1, id="rel-tol-out-of-range"),
@@ -584,19 +602,14 @@ MALFORMED_INPUT = [
                  id="validate-n-max-too-large-to-hold"),
     pytest.param(_simulate_with({}, config={"n_max": 2 ** 45}), 1,
                  id="simulate-n-max-too-large-to-hold"),
+    pytest.param(_simulate_with({}, config={"n_min": -2 ** 45}), 1,
+                 id="simulate-n-min-too-small-to-hold"),
     pytest.param(_synthesize_with(basis={"n_grid": 2 ** 20}), 1,
                  id="synthesize-n-grid-too-large-to-hold"),
     pytest.param(_analyze_with(sidecar_fields={"n_grid": 2 ** 20}), 2,
                  id="analyze-sidecar-n-grid-over-small-raw"),
     # every level would snap to the whole box, and the level scan never ended
     pytest.param(_analyze_with({"epsilon": 1.0}), 1, id="params-epsilon-one"),
-    # numbers whose float arithmetic overflows, on 16^3 grids, where level 2
-    # and its bands 2 and 3 resolve
-    pytest.param(_analyze_with({"alpha": 1000}, grids=(16, 16, 16)), 1,
-                 id="params-alpha-overflows-band-weight"),
-    pytest.param(_analyze_with({"window_base": 0.5, "window_exponent": 3000},
-                               grids=(16, 16, 16)), 1,
-                 id="params-window-width-overflows"),
     pytest.param(_analyze_with({"levels": [2000]}), 0,
                  id="params-level-beyond-float-range-fine"),
     pytest.param(_analyze_with({"levels": [-2000]}), 0,
@@ -605,8 +618,8 @@ MALFORMED_INPUT = [
                  id="basis-base-scale-zero"),
     pytest.param(_synthesize_with(basis={"base_scale": -1}), 1,
                  id="basis-base-scale-negative"),
-    pytest.param(_synthesize_with(basis={"base_scale": 1e300}), 1,
-                 id="basis-base-scale-overflows"),
+    *(pytest.param(make_argv, 1, id=name)
+      for name, (make_argv, _) in OVERFLOWS.items()),
 ]
 
 
@@ -630,6 +643,16 @@ def test_wrong_kind_names_document_and_field(tmp_path, capsys, make_argv,
     capsys.readouterr()
     assert main(argv) == 2
     assert f"{document}: {field} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make_argv, field", [
+    pytest.param(*case, id=name) for name, case in OVERFLOWS.items()])
+def test_overflow_names_its_input(tmp_path, capsys, make_argv, field):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Numerical result out of range" not in err, err
 
 
 def test_negative_base_scale_is_named(tmp_path, capsys):
@@ -703,40 +726,65 @@ def test_failed_rerun_removes_the_earlier_manifest(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_analyze_rejects_snapshots_of_two_synthesize_runs(tmp_path, capsys):
-    """Five snapshots, then three others over them: the directory holds
-    snapshots of two runs, which ``analyze`` names instead of mixing."""
+def _five_then_three_snapshots(tmp_path) -> list[str]:
+    """Analyze argv over five snapshots, then three others written over
+    them by a second synthesize run."""
     argv = _synthesize_with()(tmp_path)
     for times in ("0.001,0.002,0.003,0.004,0.005", "0.011,0.013,0.015"):
         argv[argv.index("--times") + 1] = times
         assert main(argv) == 0
     assert len(list((tmp_path / "snaps").glob("*.raw"))) == 5
+    return ["analyze", "--snapshots", str(tmp_path / "snaps"), "--params",
+            str(write_params(tmp_path / "params.json")),
+            "--out", str(tmp_path / "analysis" / "report.json")]
+
+
+def test_analyze_reads_the_snapshots_its_manifest_names(tmp_path):
+    """The synthesize manifest beside the snapshots names the second run's
+    three, and ``analyze`` reads those alone."""
+    assert main(_five_then_three_snapshots(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "analysis" / "manifest.json").read_text())
+    assert manifest["inputs"][1:] == [
+        str(tmp_path / "snaps" / f"snapshot_{i:04d}.raw") for i in range(3)]
+
+
+def test_analyze_rejects_a_sidecar_its_manifest_did_not_stamp(tmp_path, capsys):
+    argv = _five_then_three_snapshots(tmp_path)
+    _edit_json(tmp_path / "snaps" / "snapshot_0001.json",
+               {"manifest_digest": "0" * 64})
     capsys.readouterr()
-    assert main(["analyze", "--snapshots", str(tmp_path / "snaps"), "--params",
-                 str(write_params(tmp_path / "params.json")),
-                 "--out", str(tmp_path / "report.json")]) == 2
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "snapshot_0001.json" in err and "0" * 64 in err, err
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_analyze_rejects_snapshots_of_two_synthesize_runs(tmp_path, capsys):
+    """Without the synthesize manifest, the five-then-three directory holds
+    snapshots of two runs, which ``analyze`` names instead of mixing."""
+    argv = _five_then_three_snapshots(tmp_path)
+    (tmp_path / "snaps" / "manifest.json").unlink()
+    capsys.readouterr()
+    assert main(argv) == 2
     err = capsys.readouterr().err
     for name in ("snapshot_0000.json", "snapshot_0003.json"):
         sidecar = json.loads((tmp_path / "snaps" / name).read_text())
         assert name in err and sidecar["manifest_digest"] in err, err
-    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "analysis").exists()
 
 
 def test_stage_digests_stay_pinned(tmp_path, monkeypatch, capsys):
-    """The shipped configs, run with relative paths, give the pinned simulate
-    and analyze manifest digests; synthesize's digest, which holds a
-    roundoff figure, is compared between two runs instead."""
+    """The shipped configs, run with relative paths, give the pinned
+    simulate, synthesize and analyze manifest digests."""
     for name in ("pipeline_demo.json", "basis_demo.json", "params_demo.json"):
         (tmp_path / name).write_bytes((CONFIGS / name).read_bytes())
     monkeypatch.chdir(tmp_path)
-    synthesize = ["synthesize", "--trajectory", "sim/traj.csv",
-                  "--basis-config", "basis_demo.json",
-                  "--times", "0.002,0.005,0.008", "--out-dir"]
     stages = {
         "sim": ["simulate", "--config", "pipeline_demo.json", "--t-end",
                 "0.01", "--out", "sim/traj.csv"],
-        "s1": synthesize + ["s1"],
-        "s2": synthesize + ["s2"],
+        "s1": ["synthesize", "--trajectory", "sim/traj.csv",
+               "--basis-config", "basis_demo.json",
+               "--times", "0.002,0.005,0.008", "--out-dir", "s1"],
         "analysis": ["analyze", "--snapshots", "s1", "--params",
                      "params_demo.json", "--out", "analysis/report.json"],
     }
@@ -748,7 +796,7 @@ def test_stage_digests_stay_pinned(tmp_path, monkeypatch, capsys):
         manifest = json.loads((tmp_path / stage_dir / "manifest.json").read_text())
         assert manifest["digest"] == digests[stage_dir]
     assert digests["sim"] == SIMULATE_DIGEST
-    assert digests["s1"] == digests["s2"]
+    assert digests["s1"] == SYNTHESIZE_DIGEST
     assert digests["analysis"] == ANALYZE_DIGEST
 
 

@@ -109,17 +109,13 @@ class TestCoefficientCache:
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_half_symbols_are_the_full_symbols_trimmed(self, n):
-        """Shared per-scale profiles give bitwise the full-grid band symbols,
-        cut after the last column where they are nonzero."""
-        cache = CoefficientCache(
-            [GridField(np.zeros((3, n, n, n)), 2 * np.pi, time_tag=0.0)], EPS)
-        bands = cache.partition.bands()
+        """``fill`` cuts each band symbol after half-spectrum column
+        ``3 2**band``: the last kept column is nonzero and nothing beyond it is."""
+        partition = mode_partition(n)
         radii = mode_radii(n)[..., :n // 2 + 1]
-        symbols = cache._half_symbols(bands)
-        for band in bands:
-            full = cache.partition.symbol(band, radii)
-            cols = symbols[band].shape[-1]
-            assert symbols[band].tobytes() == full[..., :cols].tobytes()
+        for band in partition.bands():
+            full = partition.symbol(band, radii)
+            cols = min(int(np.ceil(3.0 * 2.0 ** band)), n // 2 + 1)
             assert full[..., cols - 1].any() and not full[..., cols:].any()
 
 
@@ -297,6 +293,28 @@ class TestAnalyzeSnapshots:
         snaps = localized_snapshots(rng)
         report = analyze_snapshots(snaps, make_params(), levels=(2, 9))
         assert any("level 9 skipped" in s for s in report.notes)
+
+    def test_level_whose_margin_underflows_is_skipped(self):
+        """At epsilon = 1 - 1e-9, level 1e9 snaps to 8 of 16 cells, but its
+        cutoff margin 4 * 2**(-1e9) is 0: no cube of it can be classified."""
+        snaps = localized_snapshots(np.random.default_rng(8), n=16)
+        report = analyze_snapshots(snaps, make_params(epsilon=1 - 1e-9),
+                                   levels=[10 ** 9])
+        assert report.per_level == []
+        assert report.notes[:-1] == [
+            "level 1000000000 skipped: level 1000000000 cutoff margin "
+            "0.5 side 2**(-epsilon j) underflows to 0"]
+
+    def test_level_whose_threshold_underflows_is_skipped(self):
+        """Level 300 at epsilon = 0.996 resolves on 16^3 (side 8), but its
+        threshold 1e-6 * 2**(-4.096 * 300) is 0, which every cube meets."""
+        snaps = localized_snapshots(np.random.default_rng(8), n=16)
+        params = make_params(alpha=0.5, epsilon=0.996, K_threshold=1e-6)
+        assert cube_hierarchy(300, 0.996, 16) and params.threshold(300) == 0
+        report = analyze_snapshots(snaps, params, levels=[2, 300])
+        assert [row.j for row in report.per_level] == [2]
+        assert report.notes[0] == ("level 300 skipped: its threshold "
+                                   "K_threshold 2**(-desk_bound j) underflows to 0")
 
     def test_repeated_level_rejected(self):
         snaps = localized_snapshots(np.random.default_rng(8))
