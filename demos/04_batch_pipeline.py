@@ -30,7 +30,8 @@ with tempfile.TemporaryDirectory(prefix="cascadelab_demo_") as workdir:
     code, text = run_validate(config_path)
     print(f"\nvalidate -> exit {code}: {text}")
 
-    traj_path = os.path.join(workdir, "trajectory.csv")
+    # each stage writes into a directory of its own, beside its manifest
+    traj_path = os.path.join(workdir, "trajectory", "trajectory.csv")
     result = run_simulate(config_path, t_end=0.02, out_path=traj_path)
     print(f"simulate -> {result['status']}, {result['n_samples']} samples, "
           f"manifest {result['manifest_digest'][:12]}")
@@ -48,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="cascadelab_demo_") as workdir:
     iomod.dump_json({"schema": iomod.SCHEMA_PARAMS, "alpha": 1.0, "epsilon": 0.25,
                      "gamma": 0.1, "K_threshold": 1e-6, "levels": [2, 3]},
                     params_path)
-    report_path = os.path.join(workdir, "report.json")
+    report_path = os.path.join(workdir, "report", "report.json")
     result = run_analyze(snap_dir, params_path, report_path)
     print(f"analyze -> report {report_path}")
     print(json.dumps(result["report"]["per_level"], indent=2))

@@ -114,23 +114,6 @@ def _enlarged_extent(cube: CubeId, n_grid: int,
     return [(c * side - margin, (c + 1) * side + margin) for c in cube.corner]
 
 
-def _intervals_intersect(a_start, a_len, b_start, b_len, n):
-    if a_len >= n or b_len >= n:
-        return True
-    return ((b_start - a_start) % n) < a_len or ((a_start - b_start) % n) < b_len
-
-
-def _dilated_intersect(a: CubeId, b: CubeId, n_grid: int, factor: float) -> bool:
-    grow = 0.5 * (factor - 1.0)
-    return all(_intervals_intersect(sa, ea - sa, sb, eb - sb, n_grid)
-               for (sa, ea), (sb, eb) in zip(_enlarged_extent(a, n_grid, grow),
-                                             _enlarged_extent(b, n_grid, grow)))
-
-
-def cubes_intersect(a: CubeId, b: CubeId, n_grid: int) -> bool:
-    return _dilated_intersect(a, b, n_grid, 1.0)
-
-
 def dilated_contains(cube: CubeId, points: np.ndarray, n_grid: int,
                      dilation: float = 1.0) -> np.ndarray:
     """Membership of points (cell coordinates, shape (m, 3)) in ``dilation * Q``."""
@@ -143,23 +126,22 @@ def dilated_contains(cube: CubeId, points: np.ndarray, n_grid: int,
     return inside
 
 
-def _axis_cells(start: float, stop: float, level_side: int,
-                n_grid: int) -> list[int]:
-    """Indices of the level cells (side ``level_side``) meeting [start, stop)."""
-    m = n_grid // level_side
-    if stop - start >= n_grid:
-        return list(range(m))
-    return [p % m for p in range(math.floor(start / level_side),
-                                 math.ceil(stop / level_side))]
+def _cover_axes(cube: CubeId, grow: float, side: int,
+                n_grid: int) -> list[list[int]]:
+    """Per axis, the indices of the side-``side`` lattice cubes meeting Q
+    grown by ``grow`` of its own sides per face (periodically wrapped)."""
+    m = n_grid // side
+    return [list(range(m)) if stop - start >= n_grid
+            else [p % m for p in range(math.floor(start / side),
+                                       math.ceil(stop / side))]
+            for start, stop in _enlarged_extent(cube, n_grid, grow)]
 
 
-def _lattice_cover(cube: CubeId, grow: float, level: int,
-                   n_grid: int) -> list[tuple[int, int, int]]:
-    """Corners of the level cubes meeting Q grown by ``grow * side`` per face."""
-    level_side, _ = level_geometry(level, cube.epsilon, n_grid)
-    return list(itertools.product(
-        *(_axis_cells(start, stop, level_side, n_grid)
-          for start, stop in _enlarged_extent(cube, n_grid, grow))))
+def cubes_intersect(a: CubeId, b: CubeId, n_grid: int) -> bool:
+    """Whether cubes of any levels overlap: b's corner in a's cover."""
+    side = cube_side_cells(b, n_grid)
+    return all(c in cells for c, cells
+               in zip(b.corner, _cover_axes(a, 0.0, side, n_grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +207,9 @@ def _band_grow(cube: CubeId) -> float:
 
 def _band_cover(cube: CubeId, level: int, n_grid: int) -> list[CubeId]:
     """Cubes at ``level`` meeting the enlarged cube (1 + 2**(-eps j)) Q."""
-    return [CubeId(level, corner, cube.epsilon)
-            for corner in _lattice_cover(cube, _band_grow(cube), level, n_grid)]
+    side, _ = level_geometry(level, cube.epsilon, n_grid)
+    return [CubeId(level, corner, cube.epsilon) for corner in itertools.product(
+        *_cover_axes(cube, _band_grow(cube), side, n_grid))]
 
 
 def nuclear_family(cube: CubeId, depth: int, n_grid: int,
@@ -287,9 +270,12 @@ def family_matrices(j: int, depth: int, epsilon: float,
                 cover = np.zeros((member.shape[1], n_grid // side), dtype=bool)
                 for p in range(member.shape[1]):  # band covers along one axis
                     probe = CubeId(level, (p, 0, 0), epsilon)
-                    start, stop = _enlarged_extent(probe, n_grid, _band_grow(probe))[0]
-                    cover[p, _axis_cells(start, stop, side, n_grid)] = True
+                    cover[p, _cover_axes(probe, _band_grow(probe), side,
+                                         n_grid)[0]] = True
                 nxt[target] = nxt.get(target, False) | member @ cover
+        if nxt.keys() == current.keys() and all(
+                np.array_equal(nxt[level], current[level]) for level in nxt):
+            break  # saturated: every further step gives the same family
         current = nxt
     return current
 
@@ -302,32 +288,45 @@ def vitali_cover(cubes, n_grid: int,
                  pre_dilation: float = 1.0) -> list[CubeId]:
     """Greedy disjoint subfamily whose 5-fold enlargements cover the input.
 
-    Cubes are visited in decreasing size, ties broken by level then
-    lexicographic corner, and kept when disjoint from everything already
-    kept.  For a common-level input the classical argument gives coverage
-    with ``VITALI_DILATION = 5``: any rejected cube meets a kept cube of at
-    least its size, hence lies inside the kept cube's 5-fold enlargement.
+    The cubes share one level and epsilon (else a ValueError).  Corners are
+    visited in lexicographic order and a cube is kept when disjoint from
+    every kept one, so a rejected cube meets a kept cube of its size and
+    lies inside its 5-fold enlargement (``VITALI_DILATION``).
 
-    With ``pre_dilation = D > 1`` disjointness is required of the D-fold
-    enlargements instead, so kept cubes are spread at least D sides apart
-    (their neighborhoods, e.g. nuclear families, stop overlapping) and the
-    coverage guarantee transfers to the ``5 D`` enlargements.
+    With ``pre_dilation = D > 1`` the D-fold enlargements must be disjoint
+    instead, spreading kept cubes at least D sides apart (their nuclear
+    families stop overlapping); coverage transfers to the ``5 D``
+    enlargements.  Two D-fold enlargements meet exactly when one cube meets
+    the other grown by ``D - 1`` sides: each kept cube blocks that box.
     """
-    def sort_key(c: CubeId):
-        return (-cube_side_cells(c, n_grid), c.j, c.corner)
-
+    cubes = set(cubes)
+    levels = {(c.j, c.epsilon) for c in cubes}
+    if len(levels) > 1:
+        raise ValueError("Vitali selection needs cubes of one level and "
+                         f"epsilon, got (level, epsilon) {sorted(levels)}")
+    if not cubes:
+        return []
+    (j, epsilon), = levels
+    side, _ = level_geometry(j, epsilon, n_grid)
+    blocked = np.zeros((n_grid // side,) * 3, dtype=bool)
     selected: list[CubeId] = []
-    for cube in sorted(set(cubes), key=sort_key):
-        if all(not _dilated_intersect(cube, kept, n_grid, pre_dilation)
-               for kept in selected):
-            selected.append(cube)
+    for corner in sorted(c.corner for c in cubes):
+        if not blocked[corner]:
+            kept = CubeId(j, corner, epsilon)
+            selected.append(kept)
+            blocked[np.ix_(*_cover_axes(kept, pre_dilation - 1.0, side,
+                                        n_grid))] = True
     return selected
 
 
 def covering_count(selected: list[CubeId], j: int, n_grid: int,
                    dilation: float) -> int:
     """Number of level-j cubes meeting the dilated selected cubes' union."""
-    covered: set[tuple[int, int, int]] = set()
+    if not selected:
+        return 0
+    side, _ = level_geometry(j, selected[0].epsilon, n_grid)
+    covered = np.zeros((n_grid // side,) * 3, dtype=bool)
     for cube in selected:
-        covered.update(_lattice_cover(cube, 0.5 * (dilation - 1.0), j, n_grid))
-    return len(covered)
+        covered[np.ix_(*_cover_axes(cube, 0.5 * (dilation - 1.0), side,
+                                    n_grid))] = True
+    return int(covered.sum())

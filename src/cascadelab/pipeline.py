@@ -9,6 +9,7 @@ them.  The digest covers no output, so it is taken first.  Through
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager, suppress
@@ -42,8 +43,26 @@ __getattr__ = _deferred
 def _publish(manifest: iomod.RunManifest, out_dir, start: float):
     """Remove an earlier run's ``manifest.json``, yield ``claim(*paths)``
     (called before writing them; returns the first), and write the manifest
-    last.  Any exception removes every claimed regular file, then re-raises."""
+    last.  Any exception removes every claimed regular file, then re-raises.
+    Stages need directories of their own: a ``manifest.json`` that is not a
+    run manifest of the same subcommand is an InputError, raised before
+    anything is removed or written."""
     claimed = [os.path.join(out_dir, "manifest.json")]
+    try:
+        with open(claimed[0], encoding="utf-8") as fh:
+            earlier = json.load(fh)
+    except FileNotFoundError:  # no earlier run: nothing to replace
+        earlier = {"schema": iomod.SCHEMA_MANIFEST, "subcommand": manifest.subcommand}
+    except (OSError, ValueError):  # a directory, or not JSON
+        earlier = None
+    if not isinstance(earlier, dict) or earlier.get("schema") != iomod.SCHEMA_MANIFEST:
+        raise iomod.InputError(
+            f"{claimed[0]} is not a readable run manifest; give the "
+            f"{manifest.subcommand} outputs a directory of their own")
+    if earlier.get("subcommand") != manifest.subcommand:
+        raise iomod.InputError(
+            f"{out_dir} holds the manifest of a {earlier.get('subcommand')} "
+            f"run; give the {manifest.subcommand} outputs a directory of their own")
     with suppress(FileNotFoundError):
         os.remove(claimed[0])
     try:

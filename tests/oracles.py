@@ -1,8 +1,11 @@
 """Dense reference computations and conveniences the tests check against."""
 
+import itertools
+import math
+
 import numpy as np
 
-from cascadelab.cubes import BumpProfile, CubeId
+from cascadelab.cubes import BumpProfile, CubeId, cube_side_cells, level_geometry
 from cascadelab.grid import GridField, apply_symbol, wave_vectors
 from cascadelab.regularity import (VERDICT_BAD, CoefficientCache,
                                    RegularityParams, classify_level_records,
@@ -98,3 +101,66 @@ def spectral_gradient_norm_complex(fld: GridField) -> float:
     total = sum(np.sum((kx ** 2 + ky ** 2 + kz ** 2) * np.abs(comp) ** 2)
                 for comp in hat)
     return float(np.sqrt(total * fld.box_size ** 3 / fld.n_grid ** 6))
+
+
+def _dilated_extent(cube: CubeId, n_grid: int, dilation: float):
+    """Per-axis (start, stop) in cells of ``dilation * Q``."""
+    side = cube_side_cells(cube, n_grid)
+    margin = 0.5 * (dilation - 1.0) * side
+    return [(c * side - margin, (c + 1) * side + margin) for c in cube.corner]
+
+
+def _dilated_intersect(a: CubeId, b: CubeId, n_grid: int, dilation: float) -> bool:
+    """Whether the periodic ``dilation``-fold enlargements of a and b meet."""
+    def meet(a_start, a_len, b_start, b_len):
+        if a_len >= n_grid or b_len >= n_grid:
+            return True
+        return ((b_start - a_start) % n_grid < a_len
+                or (a_start - b_start) % n_grid < b_len)
+
+    return all(meet(sa, ea - sa, sb, eb - sb)
+               for (sa, ea), (sb, eb) in zip(_dilated_extent(a, n_grid, dilation),
+                                             _dilated_extent(b, n_grid, dilation)))
+
+
+def vitali_cover_pairwise(cubes, n_grid: int,
+                          pre_dilation: float = 1.0) -> list[CubeId]:
+    """Pairwise greedy reference for ``cubes.vitali_cover``: cubes in
+    decreasing size, ties broken by level then corner, kept when their
+    ``pre_dilation``-fold enlargement misses every kept one's."""
+    def sort_key(c: CubeId):
+        return (-cube_side_cells(c, n_grid), c.j, c.corner)
+
+    selected: list[CubeId] = []
+    for cube in sorted(set(cubes), key=sort_key):
+        if all(not _dilated_intersect(cube, kept, n_grid, pre_dilation)
+               for kept in selected):
+            selected.append(cube)
+    return selected
+
+
+def covering_count_sets(selected, j: int, n_grid: int, dilation: float) -> int:
+    """Set-union reference for ``cubes.covering_count``: the level-j corners
+    meeting any dilated selected cube, one tuple per covered cube."""
+    covered: set[tuple[int, int, int]] = set()
+    for cube in selected:
+        side, _ = level_geometry(j, cube.epsilon, n_grid)
+        m = n_grid // side
+        axes = [range(m) if stop - start >= n_grid
+                else [p % m for p in range(math.floor(start / side),
+                                           math.ceil(stop / side))]
+                for start, stop in _dilated_extent(cube, n_grid, dilation)]
+        covered.update(itertools.product(*axes))
+    return len(covered)
+
+
+def cube_cells(cube: CubeId, n_grid: int) -> list[set[int]]:
+    """Per axis, the grid cells a cube occupies (cubes are cell-aligned)."""
+    side = cube_side_cells(cube, n_grid)
+    return [{(c * side + i) % n_grid for i in range(side)} for c in cube.corner]
+
+
+def cubes_intersect_cells(a: CubeId, b: CubeId, n_grid: int) -> bool:
+    """Exact reference for ``cubes.cubes_intersect``: a shared cell."""
+    return all(ca & cb for ca, cb in zip(cube_cells(a, n_grid),
+                                         cube_cells(b, n_grid)))

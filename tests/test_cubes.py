@@ -1,15 +1,23 @@
 """Cube hierarchy, graded cutoffs, nuclear families, Vitali selection."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from cascadelab.cubes import (BumpProfile, CubeId, LevelResolutionError,
-                              cube_hierarchy, cube_side_cells,
+                              covering_count, cube_hierarchy, cube_side_cells,
                               cubes_intersect, dilated_contains,
                               family_matrices, finest_level, level_geometry,
                               nuclear_family, vitali_cover)
+from oracles import (covering_count_sets, cubes_intersect_cells,
+                     vitali_cover_pairwise)
+
+#: the sweep the cube relations are checked on against the references
+GRIDS = (16, 32, 64, 128)
+EPSILONS = (0.0, 1 / 4, 1 / 3, 1 / 2)
+PRE_DILATIONS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3)
 
 
 class TestHierarchy:
@@ -212,6 +220,18 @@ class TestNuclearFamily:
                                          for c in q.corner))}
                             assert got == nuclear_family(q, depth, n, clamp=True)
 
+    def test_family_matrices_saturate_in_depth(self):
+        # families only grow with depth and stop changing within a few
+        # steps, so a huge depth costs no more than those steps
+        for n in (32, 64, 128):
+            for eps in (0.05, 1 / 4, 1 / 3, 0.7):
+                for j in range(finest_level(eps, n) + 1):
+                    huge = family_matrices(j, 10 ** 9, eps, n)
+                    deep = family_matrices(j, 20, eps, n)
+                    assert huge.keys() == deep.keys()
+                    for level in deep:
+                        assert np.array_equal(huge[level], deep[level])
+
 
 class TestVitali:
     def test_disjoint_input_unchanged(self):
@@ -222,11 +242,13 @@ class TestVitali:
         cubes = [CubeId(3, (1, 1, 1), 0.0)] * 3
         assert len(vitali_cover(cubes, 64)) == 1
 
-    def test_mixed_levels_greedy_prefers_large(self):
+    def test_mixed_levels_rejected(self):
         big = CubeId(1, (0, 0, 0), 0.0)      # side 32
         small = CubeId(3, (1, 1, 1), 0.0)    # side 8, inside big
-        sel = vitali_cover([small, big], 64)
-        assert sel == [big]
+        with pytest.raises(ValueError, match="one level and epsilon"):
+            vitali_cover([small, big], 64)
+        with pytest.raises(ValueError, match="one level and epsilon"):
+            vitali_cover([small, CubeId(3, (1, 1, 1), 0.25)], 64)
 
     def test_random_cluster_cover_property(self):
         rng = np.random.default_rng(3)
@@ -256,3 +278,60 @@ class TestVitali:
         spread = vitali_cover(cubes, 64, pre_dilation=3.0)
         assert len(plain) == 8          # tiling cubes are already disjoint
         assert len(spread) < len(plain)
+        # no array is sized from the dilation: the first cube blocks the box
+        whole = vitali_cover(cubes, 64, pre_dilation=1e308)
+        assert whole == cubes[:1]
+        assert covering_count(whole, 3, 64, 5 * 1e308) == 8 ** 3
+
+
+def _corner_sets(rng, m):
+    """A random and a clustered set of corners on the m^3 lattice."""
+    k = int(rng.integers(1, 40))
+    center = rng.integers(0, m, size=3)
+    return ([tuple(rng.integers(0, m, size=3)) for _ in range(k)],
+            [tuple((center + rng.integers(-2, 3, size=3)) % m)
+             for _ in range(k)])
+
+
+class TestCubeRelations:
+    def test_vitali_and_covering_match_the_references(self):
+        rng = np.random.default_rng(17)
+        for n in GRIDS:
+            for eps in EPSILONS:
+                for j in range(finest_level(eps, n) + 1):
+                    m = n // level_geometry(j, eps, n)[0]
+                    for dilation in PRE_DILATIONS:
+                        for corners in _corner_sets(rng, m):
+                            cubes = [CubeId(j, c, eps) for c in corners]
+                            sel = vitali_cover(cubes, n, dilation)
+                            assert sel == vitali_cover_pairwise(
+                                cubes, n, dilation), (n, eps, j, dilation)
+                            assert covering_count(sel, j, n, 5 * dilation) \
+                                == covering_count_sets(sel, j, n, 5 * dilation)
+
+    def test_cubes_intersect_matches_cells_on_mixed_levels(self):
+        rng = np.random.default_rng(18)
+        for n in GRIDS:
+            for eps in EPSILONS:
+                top = finest_level(eps, n)
+                for _ in range(300):
+                    a, b = (CubeId(j, rng.integers(0, n // level_geometry(
+                                j, eps, n)[0], size=3), eps)
+                            for j in map(int, rng.integers(0, top + 1, size=2)))
+                    assert cubes_intersect(a, b, n) \
+                        == cubes_intersect_cells(a, b, n), (a, b, n)
+
+    def test_covering_of_empty_selection_is_zero(self):
+        assert covering_count([], 2, 64, 20.0) == 0
+        assert vitali_cover([], 64, 4.0) == []
+
+    def test_dense_fine_level_selection_is_fast(self):
+        # 128^3, eps = 1/3, level 7 (side 4): a quarter of the 32^3 tiling
+        rng = np.random.default_rng(19)
+        tiling = cube_hierarchy(7, 1 / 3, 128)
+        bad = [tiling[i] for i in rng.choice(len(tiling), 8192, replace=False)]
+        t0 = time.perf_counter()
+        sel = vitali_cover(bad, 128, 4.0)
+        count = covering_count(sel, 7, 128, 20.0)
+        assert time.perf_counter() - t0 < 2.0
+        assert 0 < len(sel) < count <= len(tiling)

@@ -250,8 +250,8 @@ class TestCLI:
               str(basis), "--times", "0.004,0.01,0.016", "--out-dir",
               str(out_dir)])
         params = write_params(tmp_path / "params.json")
-        report_a = tmp_path / "report_a.json"
-        report_b = tmp_path / "report_b.json"
+        report_a = tmp_path / "analysis" / "report_a.json"
+        report_b = tmp_path / "analysis" / "report_b.json"
         assert main(["analyze", "--snapshots", str(out_dir), "--params",
                      str(params), "--out", str(report_a)]) == 0
         assert main(["analyze", "--snapshots", str(out_dir), "--params",
@@ -260,7 +260,7 @@ class TestCLI:
         doc = json.loads(report_a.read_text())
         assert doc["schema"] == iomod.SCHEMA_REPORT
         assert {row["j"] for row in doc["per_level"]} == {2, 3}
-        assert (tmp_path / "report_a.json.csv").exists()
+        assert (tmp_path / "analysis" / "report_a.json.csv").exists()
 
     def test_analyze_rejects_too_few_snapshots(self, tmp_path):
         params = write_params(tmp_path / "params.json")
@@ -277,12 +277,17 @@ class TestCLI:
             fld = GridField(np.zeros((3, 32, 32, 32)), 2 * np.pi, time_tag=s / 2.0)
             base = snap_dir / f"snapshot_{s:04d}"
             iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
-        params = write_params(tmp_path / "params.json", vitali_pre_dilation=1.0)
         report_path = tmp_path / "report.json"
-        assert main(["analyze", "--snapshots", str(snap_dir), "--params",
-                     str(params), "--out", str(report_path)]) == 0
-        doc = json.loads(report_path.read_text())
-        assert doc["params"]["vitali_pre_dilation"] == 1.0
+        rows = []
+        for dilation in (1.0, 1e308):  # no array is sized from the dilation
+            params = write_params(tmp_path / "params.json",
+                                  vitali_pre_dilation=dilation)
+            assert main(["analyze", "--snapshots", str(snap_dir), "--params",
+                         str(params), "--out", str(report_path)]) == 0
+            doc = json.loads(report_path.read_text())
+            assert doc["params"]["vitali_pre_dilation"] == dilation
+            rows.append(doc["per_level"])
+        assert rows[0] == rows[1]
         params = write_params(tmp_path / "params.json", vitali_pre_dilation=0.5)
         assert main(["analyze", "--snapshots", str(snap_dir), "--params",
                      str(params), "--out", str(report_path)]) == 1
@@ -672,6 +677,15 @@ def test_level_beyond_float_range_is_skipped_with_a_note(tmp_path, level):
             "float range") in report["notes"]
 
 
+def test_huge_nuclear_depth_stops_at_the_saturated_family(tmp_path):
+    # families stop changing within a few steps, so depth 10^9 costs no more
+    argv = _analyze_with({"nuclear_depth": 10 ** 9}, grids=(32, 32, 32))(tmp_path)
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["params"]["nuclear_depth"] == 10 ** 9
+    assert [row["j"] for row in report["per_level"]] == [2, 3]
+
+
 def test_pyproject_version_is_the_package_version():
     # a regex, since tomllib needs Python 3.11 and 3.10 is supported
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
@@ -724,6 +738,36 @@ def test_failed_rerun_removes_the_earlier_manifest(tmp_path):
     assert main(argv) == 2
     assert not (tmp_path / "traj.csv").exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+def _simulate_then_analyze(tmp_path):
+    assert main(_simulate_with({})(tmp_path)) == 0
+    return _analyze_with()(tmp_path), tmp_path, "simulate"
+
+
+def _analyze_into_the_snapshots(tmp_path):
+    assert main(_synthesize_with(edit=_first_three_times)(tmp_path)) == 0
+    snaps = tmp_path / "snaps"
+    return (["analyze", "--snapshots", str(snaps), "--params",
+             str(write_params(tmp_path / "params.json")),
+             "--out", str(snaps / "report.json")], snaps, "synthesize")
+
+
+@pytest.mark.parametrize("stages", [_simulate_then_analyze,
+                                    _analyze_into_the_snapshots],
+                         ids=["simulate-then-analyze", "analyze-into-snapshots"])
+def test_stages_sharing_a_directory_exit_2(tmp_path, capsys, stages):
+    """A stage whose output directory holds another stage's manifest exits
+    2, naming the directory and that stage, and writes and removes nothing."""
+    argv, shared, earlier = stages(tmp_path)
+    manifest = (shared / "manifest.json").read_bytes()
+    files = sorted(shared.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{shared} holds the manifest of a {earlier} run" in err, err
+    assert (shared / "manifest.json").read_bytes() == manifest
+    assert sorted(shared.iterdir()) == files
 
 
 def _five_then_three_snapshots(tmp_path) -> list[str]:

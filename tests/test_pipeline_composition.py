@@ -47,7 +47,7 @@ def test_shipped_pipeline_composition(tmp_path):
                  "--times", "0.004,0.01,0.016",
                  "--out-dir", str(snap_dir)]) == 0
 
-    report = tmp_path / "report.json"
+    report = tmp_path / "analysis" / "report.json"
     assert main(["analyze", "--snapshots", str(snap_dir),
                  "--params", os.path.join(CONFIG_DIR, "params_demo.json"),
                  "--out", str(report)]) == 0
@@ -55,7 +55,7 @@ def test_shipped_pipeline_composition(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["schema"] == iomod.SCHEMA_REPORT
     assert len(doc["per_level"]) == 2
-    assert (tmp_path / "report.json.csv").exists()
+    assert (tmp_path / "analysis" / "report.json.csv").exists()
     assert time.time() - t0 < 120
 
 
