@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="synthesize field snapshots")
     p.add_argument("--trajectory", required=True)
     p.add_argument("--basis-config", required=True)
-    p.add_argument("--times", default="",
-                   help="comma-separated times inside the trajectory span")
+    p.add_argument("--times", required=True,
+                   help="comma-separated distinct times inside the trajectory span")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("analyze", help="cube classification and covering report")
@@ -58,6 +58,9 @@ def main(argv=None) -> int:
                 times = [float(v) for v in args.times.split(",") if v.strip()]
             except ValueError as exc:
                 raise InputError(f"--times: {exc}") from exc
+            if not times or len(set(times)) < len(times):
+                raise InputError(f"--times must name at least one time, each "
+                                 f"once, got {args.times!r}")
             result = pipeline.run_synthesize(
                 args.trajectory, args.basis_config, times, args.out_dir)
             print(json.dumps({k: result[k] for k in

@@ -54,10 +54,8 @@ TWO_INTEGERS = ("two integers", lambda v: _integers(v) and len(v) == 2, tuple)
 DISTINCT_INTEGERS = ("a list of distinct integers",
                      lambda v: _integers(v) and len(set(v)) == len(v), list)
 TEXT = ("a string", lambda v: isinstance(v, str), str)
-SNAPSHOT_PATHS = ("a list of snapshot .raw paths",
-                  lambda v: isinstance(v, list) and all(
-                      isinstance(p, str) and p.endswith(".raw") for p in v),
-                  list)
+TEXTS = ("a list of strings", lambda v: isinstance(v, list) and all(
+    isinstance(p, str) for p in v), list)
 TENSOR_ROWS = ("a list of rows of six integers and a number",
                lambda v: isinstance(v, list) and all(
                    isinstance(row, list) and len(row) == 7
@@ -80,8 +78,8 @@ FIELDS = {
     SCHEMA_TRAJECTORY: ({"n_min": INTEGER, "n_max": INTEGER}, {}),
     SCHEMA_SNAPSHOT: ({"n_grid": INTEGER, "components": INTEGER,
                        "box_size": NUMBER, "time": NUMBER_OR_NULL}, {}),
-    # read by ``analyze`` from beside the snapshots: a synthesize manifest
-    SCHEMA_MANIFEST: ({"digest": TEXT, "outputs": SNAPSHOT_PATHS}, {}),
+    SCHEMA_MANIFEST: ({"subcommand": TEXT, "digest": TEXT, "outputs": TEXTS},
+                      {}),
 }
 #: the integrator block of a cascade config, which takes no other key
 INTEGRATOR_FIELDS = ({}, {**{name: INTEGER if kinds is int else NUMBER
@@ -297,8 +295,8 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
 
 def save_snapshot(fld: GridField, path_base, basis_id: str = "",
                   extra: dict | None = None) -> tuple[str, dict]:
-    """Write the raw samples; return their path and the sidecar document,
-    which the caller writes to ``<path_base>.json``."""
+    """Write the raw samples, then the sidecar ``<path_base>.json``; return
+    the samples' path and the sidecar document."""
     raw_path = str(path_base) + ".raw"
     fld.data.astype("<f8", copy=False).tofile(raw_path)
     doc = {
@@ -310,6 +308,7 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
         "basis_id": basis_id,
     }
     doc.update(extra or {})
+    dump_json(doc, f"{path_base}.json")
     return raw_path, doc
 
 
@@ -362,6 +361,15 @@ def load_snapshot(source) -> GridField:
 
 # ---------------------------------------------------------------------------
 # run manifests
+
+
+def read_manifest(directory) -> dict | None:
+    """Checked ``subcommand``, ``digest`` and ``outputs`` of
+    ``<directory>/manifest.json``, or None if there is no such file."""
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(path):
+        return None
+    return read_document(path, SCHEMA_MANIFEST)[0]
 
 
 @dataclass

@@ -9,7 +9,6 @@ them.  The digest covers no output, so it is taken first.  Through
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager, suppress
@@ -48,20 +47,10 @@ def _publish(manifest: iomod.RunManifest, out_dir, start: float):
     run manifest of the same subcommand is an InputError, raised before
     anything is removed or written."""
     claimed = [os.path.join(out_dir, "manifest.json")]
-    try:
-        with open(claimed[0], encoding="utf-8") as fh:
-            earlier = json.load(fh)
-    except FileNotFoundError:  # no earlier run: nothing to replace
-        earlier = {"schema": iomod.SCHEMA_MANIFEST, "subcommand": manifest.subcommand}
-    except (OSError, ValueError):  # a directory, or not JSON
-        earlier = None
-    if not isinstance(earlier, dict) or earlier.get("schema") != iomod.SCHEMA_MANIFEST:
+    earlier = iomod.read_manifest(out_dir)
+    if earlier is not None and earlier["subcommand"] != manifest.subcommand:
         raise iomod.InputError(
-            f"{claimed[0]} is not a readable run manifest; give the "
-            f"{manifest.subcommand} outputs a directory of their own")
-    if earlier.get("subcommand") != manifest.subcommand:
-        raise iomod.InputError(
-            f"{out_dir} holds the manifest of a {earlier.get('subcommand')} "
+            f"{out_dir} holds the manifest of a {earlier['subcommand']} "
             f"run; give the {manifest.subcommand} outputs a directory of their own")
     with suppress(FileNotFoundError):
         os.remove(claimed[0])
@@ -183,9 +172,9 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
             max_roundtrip = max(max_roundtrip, err)
             base = os.path.join(out_dir, f"snapshot_{idx:04d}")
             manifest.outputs.append(claim(f"{base}.raw", f"{base}.json"))
-            iomod.dump_json(iomod.save_snapshot(fld, base, basis.basis_id, {
+            iomod.save_snapshot(fld, base, basis.basis_id, {
                 "roundtrip_error": err, "n_min": n_min, "n_max": n_max,
-                "manifest_digest": manifest_digest})[1], f"{base}.json")
+                "manifest_digest": manifest_digest})
     return {"written": [raw[:-4] for raw in manifest.outputs],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}
@@ -205,36 +194,35 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     levels = doc["levels"]
 
     manifest_path = os.path.join(snapshot_dir, "manifest.json")
-    if os.path.exists(manifest_path):  # the snapshots its synthesize run wrote
-        fields, _ = iomod.read_document(manifest_path, iomod.SCHEMA_MANIFEST)
-        names = [os.path.basename(raw)[:-4] for raw in fields["outputs"]]
-        run = fields["digest"]
-    else:  # built by hand, or a manifest removed
+    synthesized = iomod.read_manifest(snapshot_dir)
+    if synthesized is not None and synthesized["subcommand"] == "synthesize":
+        raws = synthesized["outputs"]  # the snapshots its run wrote
+        if not all(raw.endswith(".raw") for raw in raws):
+            raise iomod.InputError(f"{manifest_path}: outputs must be a list "
+                                   f"of snapshot .raw paths, got {raws!r}")
+        names = [os.path.basename(raw)[:-4] for raw in raws]
+        source, run = manifest_path, synthesized["digest"]
+    else:  # built by hand, a manifest removed, or another stage's manifest
         names = sorted(name[:-5] for name in os.listdir(snapshot_dir)
                        if name.startswith("snapshot_") and name.endswith(".json"))
-        run = None
+        source = run = None
+    every_stamped = run is not None  # else a hand-built sidecar may carry none
     bases = [os.path.join(snapshot_dir, name) for name in names]
     if len(bases) < 3:
         raise iomod.DomainError(
             f"need at least 3 snapshots in {snapshot_dir}, found {len(bases)}")
     # sidecars only: each .raw file is read once, inside the analysis pass
     snapshots = [iomod.read_snapshot_header(base) for base in bases]
-    runs = {}  # manifest digest -> first sidecar carrying it
     for snap in snapshots:
         if snap.time_tag is None:
             raise iomod.InputError(f"{snap.base}.json: snapshot has no time tag")
         digest = snap.sidecar.get("manifest_digest")
-        if run is not None and digest != run:
+        if run is None and digest:  # no manifest: the first digest listed
+            source, run = f"{snap.base}.json", digest
+        if digest != run and (digest or every_stamped):
             raise iomod.InputError(
-                f"{snap.base}.json: manifest digest {digest!r}, but "
-                f"{manifest_path} has {run}")
-        if digest:  # hand-built ones carry none
-            runs.setdefault(str(digest), snap)
-    if len(runs) > 1:
-        (d_a, a), (d_b, b) = list(runs.items())[:2]
-        raise iomod.InputError(
-            f"{a.base}.json and {b.base}.json: snapshots of two synthesize "
-            f"runs, manifest digests {d_a} and {d_b}")
+                f"{snap.base}.json: manifest digest {digest!r}, but {source} "
+                f"has {run!r}; analyze the snapshots of one synthesize run")
     snapshots.sort(key=lambda snap: snap.time_tag)
     for a, b in zip(snapshots, snapshots[1:]):
         if a.time_tag == b.time_tag or a.n_grid != b.n_grid:

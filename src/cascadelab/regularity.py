@@ -207,11 +207,8 @@ class CoefficientCache:
 
     def level_pairs(self, level: int, depth: int) -> set[tuple[int, int]]:
         """(level, band) tables classifying ``level`` reads: bands ``level`` and
-        up, and (l, l) per nuclear-family level l; none if unresolvable."""
-        try:
-            members = family_matrices(level, depth, self.epsilon, self.n_grid)
-        except LevelResolutionError:
-            return set()
+        up, and (l, l) per nuclear-family level l."""
+        members = family_matrices(level, depth, self.epsilon, self.n_grid)
         bands = range(level, self.partition.j_max + 1)
         return {(level, k) for k in bands} | {(l, l) for l in members}
 

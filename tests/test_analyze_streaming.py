@@ -42,7 +42,7 @@ def snapshot_run(tmp_path):
     fields = growing_fields()
     for s, fld in enumerate(fields):
         base = snap_dir / f"snapshot_{s:04d}"
-        iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
+        iomod.save_snapshot(fld, base)
     params = tmp_path / "params.json"
     iomod.dump_json({"schema": iomod.SCHEMA_PARAMS, "alpha": 1.0,
                      "epsilon": 0.25, "gamma": 0.1, "K_threshold": 1000.0,

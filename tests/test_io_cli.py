@@ -1,5 +1,6 @@
 """File formats, schema versioning, manifests, and CLI subcommands."""
 
+import ast
 import json
 import os
 import re
@@ -114,8 +115,7 @@ class TestSnapshotFiles:
         rng = np.random.default_rng(0)
         fld = GridField(rng.normal(size=(3, 8, 8, 8)), 2 * np.pi, time_tag=0.7)
         base = tmp_path / "snapshot_0000"
-        _, sidecar = iomod.save_snapshot(fld, base, basis_id="abc")
-        iomod.dump_json(sidecar, f"{base}.json")
+        iomod.save_snapshot(fld, base, basis_id="abc")
         back = iomod.load_snapshot(base)
         assert back.data.tobytes() == fld.data.tobytes()
         assert back.time_tag == 0.7
@@ -125,8 +125,7 @@ class TestSnapshotFiles:
         rng = np.random.default_rng(1)
         fld = GridField(rng.normal(size=(3, 8, 8, 8)), 2 * np.pi, time_tag=0.0)
         base = tmp_path / "snapshot_0000"
-        _, sidecar = iomod.save_snapshot(fld, base)
-        iomod.dump_json(sidecar, f"{base}.json")
+        iomod.save_snapshot(fld, base)
         (tmp_path / "snapshot_0000.raw").write_bytes(b"\x00" * 16)
         with pytest.raises(iomod.InputError):
             iomod.load_snapshot(base)
@@ -191,19 +190,15 @@ class TestCLI:
         assert 0 < stats["h_min_reached"] <= stats["h_max_reached"]
         assert "integrator_stats" not in (tmp_path / "manifest.json").read_text()
 
-    def test_synthesize_empty_times_writes_nothing(self, tmp_path):
-        config = write_config(tmp_path / "c.json", kappa=1.0,
-                              integrator={"initial": {"X_1_0": 1.0}})
-        traj = tmp_path / "traj.csv"
-        main(["simulate", "--config", str(config), "--t-end", "0.02",
-              "--out", str(traj)])
-        basis = write_basis_config(tmp_path / "basis.json")
-        out_dir = tmp_path / "snaps"
-        assert main(["synthesize", "--trajectory", str(traj),
-                     "--basis-config", str(basis), "--times", "",
-                     "--out-dir", str(out_dir)]) == 0
-        assert not list(out_dir.glob("snapshot_*.raw"))
-        assert (out_dir / "manifest.json").exists()
+    def test_synthesize_empty_times_writes_nothing(self, tmp_path, capsys):
+        argv = _synthesize_with()(tmp_path)
+        for times in ("", " , ", "0.01,0.01,0.016"):
+            argv[argv.index("--times") + 1] = times
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "--times must name at least one time, each once" in (
+                capsys.readouterr().err)
+            assert not (tmp_path / "snaps").exists()
 
     def test_synthesize_roundtrip_error_recorded(self, tmp_path):
         config = write_config(tmp_path / "c.json", kappa=1.0,
@@ -276,7 +271,7 @@ class TestCLI:
         for s in range(3):
             fld = GridField(np.zeros((3, 32, 32, 32)), 2 * np.pi, time_tag=s / 2.0)
             base = snap_dir / f"snapshot_{s:04d}"
-            iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
+            iomod.save_snapshot(fld, base)
         report_path = tmp_path / "report.json"
         rows = []
         for dilation in (1.0, 1e308):  # no array is sized from the dilation
@@ -325,7 +320,7 @@ class TestCLI:
             data[0] = (1.3 ** s) * envelope * carrier
             fld = GridField(data, 2 * np.pi, time_tag=s / 2.0)
             base = snap_dir / f"snapshot_{s:04d}"
-            iomod.dump_json(iomod.save_snapshot(fld, base)[1], f"{base}.json")
+            iomod.save_snapshot(fld, base)
         # between the background floor (~30) and the peak (~237) of the
         # level-3 ratios for this localized setup
         params = write_params(tmp_path / "params.json", K_threshold=100.0)
@@ -433,18 +428,18 @@ def _validate_with(config):
 
 def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
                   grids=(8, 8, 8), sidecar_fields=None):
-    """Analyze argv over zero snapshots; ``sidecar_fields`` are set in each
-    sidecar after its ``.raw`` file is written."""
+    """Analyze argv over zero snapshots; ``sidecar_fields`` override each
+    sidecar but not its ``.raw`` file, and ``drop_sidecar_key`` is deleted
+    from each sidecar."""
     def argv(tmp_path):
         snap_dir = tmp_path / "snaps"
         snap_dir.mkdir()
         for s, (tag, n) in enumerate(zip(tags, grids)):
             fld = GridField(np.zeros((3, n, n, n)), 2 * np.pi, time_tag=tag)
             base = snap_dir / f"snapshot_{s:04d}"
-            sidecar = iomod.save_snapshot(fld, base)[1]
-            sidecar.pop(drop_sidecar_key, None)
-            sidecar.update(sidecar_fields or {})
-            iomod.dump_json(sidecar, f"{base}.json")
+            iomod.save_snapshot(fld, base, extra=sidecar_fields)
+            if drop_sidecar_key is not None:
+                _edit_json(base.with_suffix(".json"), {drop_sidecar_key: DROP})
         path = write_params(tmp_path / "params.json")
         _edit_json(path, params or {})
         return ["analyze", "--snapshots", str(snap_dir), "--params", str(path),
@@ -555,6 +550,9 @@ MALFORMED_INPUT = [
         "synthesize", "--trajectory", str(tmp_path / "traj.csv"),
         "--basis-config", str(tmp_path / "basis.json"), "--times", "0.1,abc",
         "--out-dir", str(tmp_path / "snaps")], 2, id="times-not-a-number"),
+    pytest.param(_synthesize_with(edit=lambda rows: ""), 2, id="times-empty"),
+    pytest.param(_synthesize_with(edit=lambda rows: f"{rows[1][0]},{rows[1][0]}"),
+                 2, id="times-repeated"),
     pytest.param(_analyze_with({"levels": "abc"}), 2, id="levels-a-string"),
     pytest.param(_analyze_with({"levels": 5}), 2, id="levels-a-number"),
     pytest.param(_analyze_with(drop_sidecar_key="n_grid"), 2,
@@ -817,6 +815,52 @@ def test_analyze_rejects_snapshots_of_two_synthesize_runs(tmp_path, capsys):
     assert not (tmp_path / "analysis").exists()
 
 
+def test_analyze_into_hand_written_snapshots_reruns(tmp_path):
+    """The analyze manifest left beside hand-written snapshots names no
+    snapshot, so a second run lists the directory again and repeats the
+    report."""
+    argv = _analyze_with()(tmp_path)
+    report = tmp_path / "snaps" / "report.json"
+    argv[argv.index("--out") + 1] = str(report)
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append((report.read_bytes(),
+                        Path(f"{report}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("stamped", [(1, 2), (0, 2), (0, 1)],
+                         ids=["unstamped-first", "unstamped-between",
+                              "unstamped-last"])
+def test_analyze_accepts_unstamped_beside_one_run(tmp_path, stamped):
+    """Without a manifest, sidecars carrying no digest may sit anywhere in
+    the listing beside sidecars of one synthesize run."""
+    argv = _analyze_with()(tmp_path)
+    for s in stamped:
+        _edit_json(tmp_path / "snaps" / f"snapshot_{s:04d}.json",
+                   {"manifest_digest": "a" * 64})
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param({"subcommand": DROP}, "subcommand", id="no-subcommand"),
+    pytest.param({"outputs": "traj.csv"}, "outputs", id="outputs-not-a-list"),
+])
+def test_publish_refuses_a_malformed_manifest(tmp_path, capsys, edit, field):
+    """A ``manifest.json`` in the output directory that is not a checked
+    run manifest exits 2, naming it and the field, and nothing is written
+    or removed."""
+    argv = _simulate_with({})(tmp_path)
+    assert main(argv) == 0
+    _edit_json(tmp_path / "manifest.json", edit)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{tmp_path / 'manifest.json'}: {field} " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 def test_stage_digests_stay_pinned(tmp_path, monkeypatch, capsys):
     """The shipped configs, run with relative paths, give the pinned
     simulate, synthesize and analyze manifest digests."""
@@ -917,6 +961,19 @@ def test_pipeline_writes_standard_json(tmp_path):
     assert len(outputs) == 2 + 4 + 2  # per stage: sidecars and a manifest
     for path in outputs:
         json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_json_is_read_only_by_read_document():
+    """Every JSON document the package reads is checked by ``io.read_document``."""
+    readers = []
+    for path in sorted(Path(cascadelab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            readers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Attribute) and node.attr == "load"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "json"]
+    assert readers == ["io.read_document"]
 
 
 def test_cli_import_leaves_wavelets_and_analyzer_unloaded():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cascadelab.cubes import CubeId, cube_hierarchy, nuclear_family
+from cascadelab.cubes import (CubeId, LevelResolutionError, cube_hierarchy,
+                              nuclear_family)
 from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    _level_badness, _terminal_window_mean,
@@ -243,6 +244,15 @@ class TestClassifyLevel:
         expected = {CubeId(j, tuple((np.array(c.corner) + shift) % m), EPS)
                     for c in bad_a}
         assert bad_b == expected
+
+    @pytest.mark.parametrize("j", [-1, 9, 2000])
+    def test_unresolvable_level_raises(self, j):
+        """Coarser than the box, below the cell floor, or beyond float
+        range: classifying such a level raises instead of flagging none."""
+        snaps = [GridField(np.zeros((3, N, N, N)), 2 * np.pi, time_tag=t)
+                 for t in (0.0, 0.5, 1.0)]
+        with pytest.raises(LevelResolutionError):
+            classify_level_records(snaps, j, make_params())
 
 
 class TestDimensionEstimate:
