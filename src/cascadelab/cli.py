@@ -58,9 +58,6 @@ def main(argv=None) -> int:
                 times = [float(v) for v in args.times.split(",") if v.strip()]
             except ValueError as exc:
                 raise InputError(f"--times: {exc}") from exc
-            if not times or len(set(times)) < len(times):
-                raise InputError(f"--times must name at least one time, each "
-                                 f"once, got {args.times!r}")
             result = pipeline.run_synthesize(
                 args.trajectory, args.basis_config, times, args.out_dir)
             print(json.dumps({k: result[k] for k in

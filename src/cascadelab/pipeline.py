@@ -125,12 +125,16 @@ def load_basis_config(path):
 def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
     """Synthesize field snapshots at the requested times.
 
-    Each time must lie inside the trajectory span; states are linearly
-    interpolated between the two bracketing samples.  Each sidecar records
-    its snapshot's round-trip coefficient recovery error, and the worst is
-    returned.  Snapshots are synthesized on the snapshot pool and written
-    here, in order, each sidecar once.
+    ``times`` must name at least one time, each once, and each must lie
+    inside the trajectory span; states are linearly interpolated between
+    the two bracketing samples.  Each sidecar records its snapshot's
+    round-trip coefficient recovery error, and the worst is returned.
+    Snapshots are synthesized on the snapshot pool and written here, in
+    order, each sidecar once.
     """
+    if not times or len(set(times)) < len(times):
+        raise iomod.InputError("--times must name at least one time, each "
+                               f"once, got {list(times)!r}")
     synthesize = _deferred("synthesize_checked")
     start = time.monotonic()
     t_samples, states, sidecar = iomod.load_trajectory_csv(trajectory_path)
@@ -158,10 +162,10 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                 lambda column: np.interp(t, t_samples, column), 0, states)
             yield coeffs, basis, n_min, float(t)
 
-    def checked(*job):  # finite amplitudes can still overflow the samples
+    def checked(*job, work):  # finite amplitudes can still overflow the samples
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                return synthesize(*job)
+                return synthesize(*job, work=work)
         except ValueError as exc:
             raise iomod.DomainError(
                 f"{trajectory_path} at time {job[-1]}: {exc}") from exc
@@ -175,6 +179,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
             iomod.save_snapshot(fld, base, basis.basis_id, {
                 "roundtrip_error": err, "n_min": n_min, "n_max": n_max,
                 "manifest_digest": manifest_digest})
+            del fld  # so at most SNAPSHOT_WORKERS + 1 fields are held
     return {"written": [raw[:-4] for raw in manifest.outputs],
             "max_roundtrip_error": max_roundtrip,
             "manifest_digest": manifest_digest}

@@ -22,12 +22,15 @@ different K needs no recomputation.
 Cube sums separate by axis, so a level is classified at once: coefficient
 tables and family energies are per-axis contractions, the latter with
 :func:`~cascadelab.cubes.family_matrices` (checked against the reference
-enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table the
-requested levels need is computed in one pass over the snapshots: the
+enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table row
+the requested levels read is computed in one pass over the snapshots: the
 calling thread reads each snapshot once, and a pool thread
-(:func:`~cascadelab.grid.map_snapshots`) transforms it once and contracts
-each band density into its tables.  Rows are gathered in snapshot order,
-so tables do not depend on the pool size.
+(:func:`~cascadelab.grid.map_snapshots`) transforms it once, on work
+arrays it keeps for the pass, and contracts each band density into its
+tables.  The family energy is read only inside the terminal window, so
+a band that only family tables need is inverted only at the snapshots
+the window reads.  Rows are gathered in snapshot order, so tables do not
+depend on the pool size.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import numpy as np
 from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
-from .grid import GridField, map_snapshots, real_samples, wave_magnitude
+from .grid import (GridField, map_snapshots, real_samples, wave_magnitude,
+                   work_array)
 from .spectral import LPPartition
 
 VERDICT_BAD = "mildly_bad"
@@ -147,47 +151,48 @@ class CoefficientCache:
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
+        self._first: dict[tuple[int, int], int] = {}  # first filled row
         self._weights: dict[int, np.ndarray] = {}
-        self._family_sq: dict[tuple[int, int], np.ndarray] = {}
+        self._members: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+        self._family_sq: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
-    def fill(self, pairs) -> None:
-        """Missing (level, band) tables in one pass over the snapshots, each
-        read here and transformed on the pool (:func:`_snapshot_rows`)."""
-        tables, needed = {}, {}
-        for level, band in sorted(set(pairs) - self._tables.keys()):
-            m = len(self._axis_weights(level))
-            tables[level, band] = np.zeros((len(self.snapshots), m, m, m))
-            if self.partition.j_min <= band <= self.partition.j_max:
-                needed.setdefault(band, []).append(level)
-            else:
+    def fill(self, rows) -> None:
+        """Missing rows of the tables of ``rows``, ((level, band), first
+        snapshot row) pairs, in one pass over the snapshots that need one:
+        each is read here and transformed on the pool
+        (:func:`_snapshot_rows`), inverting only the bands it needs."""
+        count = len(self.snapshots)
+        first, symbols, plans = {}, {}, [{} for _ in range(count)]
+        for (level, band), lo in sorted(rows):
+            hi = first.get((level, band), self._first.get((level, band), count))
+            if lo >= hi:
+                continue
+            weights = self._axis_weights(level)
+            if (level, band) not in self._tables:  # rows count from _first
+                self._tables[level, band] = np.zeros((count,) + (len(weights),) * 3)
+            first[level, band] = lo
+            self.stats["tables_filled"] += hi - lo
+            if not self.partition.j_min <= band <= self.partition.j_max:
                 self.unresolved_bands.add(band)
-        if needed:
-            # symbols and weights are built here, so no pool thread writes a
-            # cache; a band symbol is zero beyond column 3 2**band (which
-            # bounds |k| from below) of the real-FFT half spectrum
-            plan = {}
-            for band, levels in needed.items():
+                continue
+            if band not in symbols:
+                # built here, so no pool thread writes a cache; a band symbol
+                # is zero beyond column 3 2**band (which bounds |k| from
+                # below) of the real-FFT half spectrum
                 cols = min(int(np.ceil(3.0 * 2.0 ** band)), self.n_grid // 2 + 1)
-                radii = self._half_radii[..., :cols]
-                plan[band] = (self.partition.symbol(band, radii),
-                              {l: self._weights[l] for l in levels})
-            for s, rows in enumerate(map_snapshots(_snapshot_rows,
-                                                   self._snapshot_jobs(plan))):
-                for key, row in rows.items():
-                    tables[key][s] = row
-            count = len(self.snapshots)
-            self.stats["snapshots_read"] += count
-            self.stats["forward_ffts"] += count
-            self.stats["band_inverses"] += count * len(needed)
-        self.stats["tables_filled"] += len(tables) * len(self.snapshots)
-        self._tables.update(tables)
-
-    def _snapshot_jobs(self, plan: dict):
-        for snap in self.snapshots:
-            fld = snap if isinstance(snap, GridField) else snap.load()
-            job = [fld.data], fld.cell_volume, plan
-            del fld  # the job's list is then the one reference to the samples
-            yield job
+                symbols[band] = self.partition.symbol(
+                    band, self._half_radii[..., :cols])
+            for plan in plans[lo:hi]:
+                plan.setdefault(band, (symbols[band], {}))[1][level] = weights
+        read = [s for s, plan in enumerate(plans) if plan]  # none: zip starts no pool
+        jobs = _loaded((self.snapshots[s], plans[s]) for s in read)
+        for s, found in zip(read, map_snapshots(_snapshot_rows, jobs)):
+            for key, row in found.items():
+                self._tables[key][s] = row
+        self.stats["snapshots_read"] += len(read)
+        self.stats["forward_ffts"] += len(read)
+        self.stats["band_inverses"] += sum(len(plans[s]) for s in read)
+        self._first.update(first)
 
     def _axis_weights(self, level: int) -> np.ndarray:
         """(m, N) squared cutoff profile of each level cube along one axis."""
@@ -202,66 +207,88 @@ class CoefficientCache:
 
     def table(self, level: int, band: int) -> np.ndarray:
         """The (snapshots, m, m, m) coefficient table of one (level, band)."""
-        self.fill([(level, band)])
+        self.fill([((level, band), 0)])
         return self._tables[level, band]
 
-    def level_pairs(self, level: int, depth: int) -> set[tuple[int, int]]:
-        """(level, band) tables classifying ``level`` reads: bands ``level`` and
-        up, and (l, l) per nuclear-family level l."""
-        members = family_matrices(level, depth, self.epsilon, self.n_grid)
-        bands = range(level, self.partition.j_max + 1)
-        return {(level, k) for k in bands} | {(l, l) for l in members}
+    def family_members(self, level: int, depth: int) -> dict[int, np.ndarray]:
+        """:func:`~cascadelab.cubes.family_matrices`, computed once per key."""
+        if (level, depth) not in self._members:
+            self._members[level, depth] = family_matrices(
+                level, depth, self.epsilon, self.n_grid)
+        return self._members[level, depth]
 
-    def family_sq(self, level: int, depth: int) -> np.ndarray:
+    def family_sq(self, level: int, depth: int, first: int = 0) -> np.ndarray:
         """Nuclear-family energy ``sum_{N^depth(Q)} u_{Q'}^2`` of every level cube.
 
-        Shape (snapshots, m, m, m).  Independent of the classification
-        exponents, so one computation serves every parameter set sharing
-        the cube geometry.
+        Shape (snapshots, m, m, m); rows before snapshot ``first`` may be
+        left zero.  Independent of the classification exponents, so one
+        computation serves every parameter set sharing the cube geometry.
         """
         key = (level, depth)
-        if key not in self._family_sq:
-            members = family_matrices(level, depth, self.epsilon, self.n_grid)
-            self.fill((l, l) for l in members)
-            total = 0.0
+        cached = self._family_sq.get(key)
+        if cached is None or cached[0] > first:
+            members = self.family_members(level, depth)
+            self.fill(((l, l), first) for l in members)
+            m = len(self._axis_weights(level))
+            total = np.zeros((len(self.snapshots), m, m, m))
             for level_l, member in members.items():
                 member = member.astype(float)
-                total = total + np.array([_separable_sum(member, row) for row
-                                          in self.table(level_l, level_l) ** 2])
-            self._family_sq[key] = total
-        return self._family_sq[key]
+                total[first:] += np.array([
+                    _separable_sum(member, row)
+                    for row in self._tables[level_l, level_l][first:] ** 2])
+            self._family_sq[key] = first, total
+        return self._family_sq[key][1]
 
 
-def _snapshot_rows(box: list, cell_volume: float, plan: dict) -> dict:
+def _loaded(jobs):
+    """``_snapshot_rows`` arguments of each (snapshot, plan), the snapshot
+    read here when it is a file."""
+    for snap, plan in jobs:
+        fld = snap if isinstance(snap, GridField) else snap.load()
+        job = [fld.data], fld.cell_volume, plan
+        del fld  # the job's list is then the one reference to the samples
+        yield job
+
+
+def _snapshot_rows(box: list, cell_volume: float, plan: dict, work) -> dict:
     """Coefficient rows ``{(level, band): table[s]}`` of one snapshot.
 
     ``box`` holds the samples and is emptied, so the field is dropped once
     its real-FFT spectrum exists; ``plan`` maps each band to its half
-    symbol and the axis weights of its levels.  Runs on a pool thread, so
-    it calls no stage or layer function (a tracer that wraps those keeps
-    one span stack per process); its inverse is ``grid.real_samples``.
+    symbol and the axis weights of its levels, and ``work`` holds the pool
+    thread's work arrays.  Runs on a pool thread, so it calls no stage or
+    layer function (a tracer that wraps those keeps one span stack per
+    process); its inverse is ``grid.real_samples``.
     """
     data = box.pop()
     n = data.shape[-1]
-    spectrum = np.empty(data.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum = work_array(work, "spectrum", data.shape[:-1] + (n // 2 + 1,),
+                          complex)
     for c in range(len(data)):
         np.fft.rfftn(data[c], out=spectrum[c])
     del data
     rows = {}
     for band, (symbol, weights) in plan.items():
-        density = _band_density(spectrum, symbol, n)
+        density = _band_density(spectrum, symbol, n, work)
         for level, w in weights.items():
             rows[level, band] = np.sqrt(_separable_sum(w, density) * cell_volume)
     return rows
 
 
-def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int) -> np.ndarray:
+def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int,
+                  work) -> np.ndarray:
     """Pointwise ``|P_band u|^2`` from a real-FFT spectrum, one component at
     a time: inverted without the columns where the band is zero, squared
-    and summed over components in order."""
+    and summed over components in order.  Only the density is allocated;
+    the product and later squares go to the work arrays of ``work``."""
+    cols = symbol.shape[-1]
+    hat = work_array(work, "hat", (spectrum[0].size,), complex)
+    hat = hat[:n * n * cols].reshape(n, n, cols)
     density = None
     for comp in spectrum:
-        square = real_samples(comp[..., :symbol.shape[-1]] * symbol, n)
+        square = real_samples(np.multiply(comp[..., :cols], symbol, out=hat), n,
+                              out=None if density is None else work_array(
+                                  work, "square", (n, n, n)))
         np.square(square, out=square)
         density = square if density is None else np.add(density, square, out=density)
     return density
@@ -300,12 +327,36 @@ def _terminal_window_mean(times: np.ndarray, values: np.ndarray,
         return values[-1] - 0.5 * slope * width, False
     t_lo = T - width
     inside = times >= t_lo
-    i = int(np.searchsorted(times, t_lo, side="right")) - 1
+    i = _window_start(times, width)
     slope = (values[i + 1] - values[i]) / (times[i + 1] - times[i])
     left = slope * (t_lo - times[i]) + values[i]
     ts = np.concatenate([[t_lo], times[inside]])
     vs = np.concatenate([left[None], values[inside]])
     return np.trapezoid(vs, ts, axis=0) / width, False
+
+
+def _window_start(times: np.ndarray, width: float) -> int:
+    """First sample row :func:`_terminal_window_mean` reads, by its branches."""
+    if width <= 0:
+        return len(times) - 1
+    if width >= times[-1] - times[0]:
+        return 0
+    if width <= times[-1] - times[-2]:
+        return len(times) - 2
+    return int(np.searchsorted(times, times[-1] - width, side="right")) - 1
+
+
+def _level_rows(cache: CoefficientCache, j: int, params: RegularityParams):
+    """(rows, width, first): the ((level, band), first row) pairs of the
+    tables classifying level j reads, the width of its terminal window
+    and the first snapshot row the window reads.  The nuclear-family
+    tables (l, l) are read from there, bands j and up from row 0."""
+    width = _power(params.window_base, -params.window_exponent * j,
+                   f"window_base and window_exponent at level {j}")
+    first = _window_start(cache.times, width)
+    rows = [((l, l), first) for l in cache.family_members(j, params.nuclear_depth)]
+    rows += [((j, k), 0) for k in range(j, cache.partition.j_max + 1)]
+    return rows, width, first
 
 
 def _level_badness(cache: CoefficientCache, j: int,
@@ -314,18 +365,19 @@ def _level_badness(cache: CoefficientCache, j: int,
 
     The terminal-window term uses the mean formulation ``W**(wj) int = mean``
     when the window fits the sampled span, so astronomically narrow windows
-    degrade gracefully to the terminal value instead of underflowing.
+    degrade gracefully to the terminal value instead of underflowing.  The
+    family energy is summed only over the snapshots the window reads.
     """
-    cache.fill(cache.level_pairs(j, params.nuclear_depth))
+    rows, width, first = _level_rows(cache, j, params)
+    cache.fill(rows)
     times = cache.times
-    window = f"window_base and window_exponent at level {j}"
-    width = _power(params.window_base, -params.window_exponent * j, window)
     term1, clipped = _terminal_window_mean(
-        times, cache.family_sq(j, params.nuclear_depth), width)
+        times, cache.family_sq(j, params.nuclear_depth, first), width)
     if clipped:
         # window wider than the sampled span: apply the raw weight
         term1 = term1 * ((times[-1] - times[0]) * _power(
-            params.window_base, params.window_exponent * j, window))
+            params.window_base, params.window_exponent * j,
+            f"window_base and window_exponent at level {j}"))
 
     term2 = 0.0
     for k in range(j, cache.partition.j_max + 1):
@@ -439,8 +491,7 @@ def analyze_snapshots(snapshots: list[GridField], params: RegularityParams,
                          "2**(-desk_bound j) underflows to 0")
         else:
             classified.append(j)
-    cache.fill(pair for j in classified
-               for pair in cache.level_pairs(j, params.nuclear_depth))
+    cache.fill(row for j in classified for row in _level_rows(cache, j, params)[0])
     rows = []
     counts = {}
     for j in classified:

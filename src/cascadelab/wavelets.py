@@ -39,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridField, _is_power_of_two, radial_bump, real_samples
+from .grid import (GridField, _is_power_of_two, radial_bump, real_samples,
+                   work_array)
 
 #: shells must stay inside this fraction of the Nyquist frequency
 NYQUIST_MARGIN = 0.98
@@ -248,22 +249,24 @@ def build_wavelet_basis(lam: float, n_grid: int,
                         profile_shell=0 if n_lo <= 0 <= n_hi else n_lo)
 
 
-def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
+def project_coefficients(fld: GridField, basis: WaveletBasis,
+                         work=None) -> np.ndarray:
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
     Output shape is (4, window length), species-major.  The amplitudes
     are real, so only ``Re u_hat`` enters, read from an ``rfftn`` of each
     component at each mode or its mirror; this is exact for any real
     field.  Recovery of a field synthesized from the same basis is exact
-    (to roundoff) by disjoint spectral supports.
+    (to roundoff) by disjoint spectral supports.  ``work``: see
+    :func:`~cascadelab.grid.work_array`.
     """
     if fld.n_grid != basis.n_grid:
         raise ValueError("field grid does not match the basis grid")
     if abs(fld.box_size - basis.box_size) > 1e-12 * basis.box_size:
         raise ValueError("field box size does not match the basis box size")
     n = fld.n_grid
-    hat = np.empty((3, n * n * (n // 2 + 1)))  # Re u_hat, one component at a time
-    spectrum = np.empty((n, n, n // 2 + 1), dtype=complex)
+    hat = work_array(work, "re_hat", (3, n * n * (n // 2 + 1)))  # Re u_hat per component
+    spectrum = work_array(work, "spectrum", (n, n, n // 2 + 1), complex)
     for comp, re in zip(fld.data, hat):
         np.copyto(re.reshape(spectrum.shape), np.fft.rfftn(comp, out=spectrum).real)
     weight = basis.box_size ** 3 / n ** 6
@@ -275,12 +278,13 @@ def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
 
 
 def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
-                     time_tag: float | None = None) -> GridField:
+                     time_tag: float | None = None, work=None) -> GridField:
     """Velocity field ``u = sum X[i,n] psi_{i,n}`` from shell amplitudes.
 
     ``coeffs`` is a (4, n_shells) array whose shell axis starts at
     ``n_min`` (defaults to the basis window start).  Every populated shell
-    must lie inside the basis window.
+    must lie inside the basis window.  ``work``: as in
+    :func:`project_coefficients`.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[0] != 4:
@@ -291,7 +295,8 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
         raise ValueError(
             f"state window [{lo}, {hi}] outside basis window {basis.n_window}")
     n = basis.n_grid
-    spec = np.zeros((3, n * n * (n // 2 + 1)), dtype=complex)  # kz >= 0 half
+    spec = work_array(work, "half_spectrum", (3, n * n * (n // 2 + 1)), complex)
+    spec.fill(0.0)  # the kz >= 0 half
     for (i, shell_n), sh in basis.shells.items():
         if lo <= shell_n <= hi:
             x = coeffs[i - 1, shell_n - lo]
@@ -301,11 +306,12 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
 
 
 def synthesize_checked(coeffs, basis: WaveletBasis, n_min: int,
-                       time_tag: float | None = None) -> tuple[GridField, float]:
+                       time_tag: float | None = None,
+                       work=None) -> tuple[GridField, float]:
     """One snapshot: :func:`synthesize_field` and the largest coefficient
-    error of projecting the field back onto the basis."""
-    fld = synthesize_field(coeffs, basis, n_min, time_tag)
+    error of projecting the field back onto the basis, both on ``work``."""
+    fld = synthesize_field(coeffs, basis, n_min, time_tag, work)
     coeffs = np.asarray(coeffs, dtype=float)
     start = n_min - basis.n_window[0]
-    recovered = project_coefficients(fld, basis)[:, start:start + coeffs.shape[1]]
+    recovered = project_coefficients(fld, basis, work)[:, start:start + coeffs.shape[1]]
     return fld, float(np.max(np.abs(recovered - coeffs)))

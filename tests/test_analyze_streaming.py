@@ -57,9 +57,11 @@ def test_cli_reads_and_transforms_each_snapshot_once(snapshot_run, tmp_path):
                  str(params), "--out", str(out)]) == 0
     stats = json.loads(out.read_text())["analysis_stats"]
     assert stats["forward_ffts"] == stats["snapshots_read"] == N_SNAPSHOTS
-    assert stats["band_inverses"] % N_SNAPSHOTS == 0
-    assert stats["tables_filled"] % N_SNAPSHOTS == 0
-    assert stats["tables_filled"] >= stats["band_inverses"] > 0
+    # levels 2 and 3 read bands 2 to 4 at every snapshot, and the family
+    # tables (0, 0), (1, 1) and (4, 4) only inside the 2**-20-wide terminal
+    # window, which reads the last two snapshots
+    assert stats["band_inverses"] == 3 * N_SNAPSHOTS + 2 * 2
+    assert stats["tables_filled"] == 5 * N_SNAPSHOTS + 3 * 2
 
 
 def test_file_pass_equals_fields_in_memory(snapshot_run, tmp_path):
@@ -77,21 +79,21 @@ def test_file_pass_equals_fields_in_memory(snapshot_run, tmp_path):
 def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     """``run_analyze``'s traced peak stays below 8 snapshots' worth of bytes.
 
-    With B = 3 N^3 float64 samples of one snapshot, at most two snapshots
-    are in flight (``grid.SNAPSHOT_WORKERS`` on two cores), each with one
-    working set.  Its forward phase holds the field (B), the real-FFT
-    spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B) and one
-    component's transform intermediate ((1 + 2/N) B / 3): about 2.4 B.
-    Inverting a band, one component at a time, holds the spectrum, that
-    component's projection (at most (1 + 2/N) B / 3), its inverse (B / 3)
-    and the density (B / 3): about 2.1 B.  Two working sets are at most
-    4.8 B.  Cached beside them are the half-spectrum radii and the
-    trimmed band symbols ((1 + 2/N) B / 6 at most each, 6 bands at
-    N = 32): 1.3 B.  That is about 6.1 B; the bound leaves 1.9 B for
-    tables, weights and temporaries.  Measured: 6.6 B with two workers,
-    4.2 B with one.  Holding every field and every band density instead,
-    as an analyzer that loads all snapshots first does, costs
-    8 B + 40 B/3 before any work: 21 B, and 25 B measured at the peak.
+    With B = 3 N^3 float64 samples of one snapshot, at most three
+    snapshots are held: one per worker (``grid.SNAPSHOT_WORKERS`` on two
+    cores) and one queued job.  Each worker keeps its work arrays for the
+    pass: the real-FFT spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B),
+    one component's band product ((1 + 2/N) B / 3) and one square (B / 3).
+    Starting a forward transform it also holds the field: about 2.75 B.
+    Inverting a band it holds the density (B / 3) and a contraction copy
+    (B / 3) instead: about 2.4 B.  Two workers and a queued field are at
+    most 6.5 B.  Cached beside them are the half-spectrum radii and the
+    trimmed band symbols (0.75 B at N = 32).  That is about 7.25 B; the
+    bound leaves 0.75 B for tables, weights and temporaries.  Measured:
+    7.5 B with two workers, 4.8 B with one.  Holding every field and every
+    band density instead, as an analyzer that loads all snapshots first
+    does, costs 8 B + 40 B/3 before any work: 21 B, and 25 B measured at
+    the peak.
     """
     snap_dir, params, _ = snapshot_run
     snapshot_bytes = 3 * N ** 3 * 8

@@ -13,6 +13,7 @@ import pytest
 
 import cascadelab
 from cascadelab import io as iomod
+from cascadelab import pipeline
 from cascadelab.cascade import builtin_dyadic_config, state_from_entries
 from cascadelab.cli import main
 from cascadelab.grid import GridField
@@ -198,6 +199,18 @@ class TestCLI:
             assert main(argv) == 2
             assert "--times must name at least one time, each once" in (
                 capsys.readouterr().err)
+            assert not (tmp_path / "snaps").exists()
+
+    def test_run_synthesize_rejects_empty_or_repeated_times(self, tmp_path):
+        """The library call keeps the rule too: no manifest with no outputs,
+        and no snapshots that ``analyze`` would then reject."""
+        argv = _synthesize_with()(tmp_path)
+        traj, basis = (argv[argv.index(flag) + 1]
+                       for flag in ("--trajectory", "--basis-config"))
+        for times in ([], [0.005, 0.005, 0.008]):
+            with pytest.raises(iomod.InputError,
+                               match="must name at least one time, each once"):
+                pipeline.run_synthesize(traj, basis, times, tmp_path / "snaps")
             assert not (tmp_path / "snaps").exists()
 
     def test_synthesize_roundtrip_error_recorded(self, tmp_path):

@@ -8,6 +8,7 @@ from cascadelab.cubes import (CubeId, LevelResolutionError, cube_hierarchy,
 from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    _level_badness, _terminal_window_mean,
+                                   _window_start,
                                    analyze_snapshots,
                                    classify_level_records, dimension_estimate,
                                    mode_partition, mode_radii)
@@ -153,6 +154,89 @@ class TestTerminalWindowMean:
         fine = np.stack([np.interp(ts, TIMES, v) for v in values.T], axis=1)
         ref = np.trapezoid(fine, ts, axis=0) / (ts[-1] - ts[0])
         np.testing.assert_allclose(mean, ref, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("width", WINDOW_REGIMES.values(),
+                             ids=WINDOW_REGIMES.keys())
+    def test_reads_no_row_before_window_start(self, width):
+        values = np.random.default_rng(12).normal(size=(len(TIMES), 4))
+        first = _window_start(TIMES, width)
+        blanked = values.copy()
+        blanked[:first] = np.nan
+        mean, clipped = _terminal_window_mean(TIMES, values, width)
+        got, got_clipped = _terminal_window_mean(TIMES, blanked, width)
+        assert got.tobytes() == mean.tobytes() and got_clipped == clipped
+        blanked[first] = np.nan  # the first row it reads
+        assert np.isnan(_terminal_window_mean(TIMES, blanked, width)[0]).all()
+
+
+def full_row_badness(snaps, j, params):
+    """``_level_badness`` from every row of every table of a fresh cache."""
+    cache = CoefficientCache(snaps, params.epsilon)
+    times, depth = cache.times, params.nuclear_depth
+    width = params.window_base ** (-params.window_exponent * j)
+    term1, clipped = _terminal_window_mean(times, cache.family_sq(j, depth), width)
+    if clipped:
+        term1 = term1 * ((times[-1] - times[0])
+                         * params.window_base ** (params.window_exponent * j))
+    term2 = 0.0
+    for k in range(j, cache.partition.j_max + 1):
+        term2 = term2 + 2.0 ** (2.0 * params.alpha * k) * np.trapezoid(
+            cache.table(j, k) ** 2, times, axis=0)
+    return term1 + term2
+
+
+def window_snapshots():
+    rng = np.random.default_rng(21)
+    return [GridField(rng.normal(size=(3, N, N, N)), 2 * np.pi, time_tag=float(t))
+            for t in TIMES]
+
+
+#: (window_base, window_exponent) giving level 2 a window in each regime
+#: on TIMES, and the first snapshot that window reads
+SKIP_REGIMES = {"last-gap": (2.0, 10, 5), "inside-span": (1.5, 1, 3),
+                "on-a-sample": (2.0, 1, 4), "whole-span": (0.5, 1, 0),
+                "underflow": (2.0, 600, 6)}
+
+
+class TestFamilyRowSkip:
+    """The family energy is filled only from the first snapshot the terminal
+    window reads, and the badness stays bitwise that of every row."""
+
+    @pytest.mark.parametrize("base, exponent, first", SKIP_REGIMES.values(),
+                             ids=SKIP_REGIMES.keys())
+    def test_badness_is_bitwise_the_full_rows(self, base, exponent, first):
+        snaps = window_snapshots()
+        params = make_params(window_base=base, window_exponent=exponent)
+        cache = CoefficientCache(snaps, EPS)
+        got = _level_badness(cache, 2, params)
+        assert got.tobytes() == full_row_badness(snaps, 2, params).tobytes()
+        assert cache._first[1, 1] == first  # a family-only table
+        assert cache._first[2, 2] == 0      # also read by the dissipation term
+        # bands 2 to 4 at every snapshot, the family-only bands 0 and 1 from first
+        assert cache.stats["band_inverses"] == (3 * len(snaps)
+                                                + 2 * (len(snaps) - first))
+
+    @pytest.mark.parametrize("order", [(2, 3, 4), (4, 3, 2)])
+    def test_family_pair_that_is_also_a_dissipation_pair(self, order):
+        """(4, 4) is in the family of level 2 and in level 4's dissipation
+        history, which reads all of it, whichever level is classified first."""
+        snaps, params = window_snapshots(), make_params()
+        cache = CoefficientCache(snaps, EPS)
+        for j in order:
+            got = _level_badness(cache, j, params)
+            assert got.tobytes() == full_row_badness(snaps, j, params).tobytes()
+        assert cache._first[4, 4] == 0
+
+    def test_public_tables_return_every_row_after_a_pass(self):
+        snaps, params = window_snapshots(), make_params()
+        cache, fresh = CoefficientCache(snaps, EPS), CoefficientCache(snaps, EPS)
+        analyze_snapshots(snaps, params, [2, 3, 4], cache)
+        assert cache._first[0, 0] == len(snaps) - 2  # earlier rows left out
+        for key in list(cache._tables):
+            assert cache.table(*key).tobytes() == fresh.table(*key).tobytes()
+        for j in (2, 3, 4):
+            assert (cache.family_sq(j, params.nuclear_depth).tobytes()
+                    == fresh.family_sq(j, params.nuclear_depth).tobytes())
 
 
 class TestBadnessFunctional:

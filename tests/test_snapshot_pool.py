@@ -69,10 +69,12 @@ def test_outputs_do_not_depend_on_pool_size(trajectory, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 5])
 def test_tables_do_not_depend_on_pool_size(workers, monkeypatch):
-    """Also with more workers than cores, switching threads every 10 us."""
+    """Also with more workers than cores, switching threads every 10 us,
+    and with three snapshots per worker of the largest pool, so pool
+    threads run jobs on work arrays an earlier job of theirs has left."""
     rng = np.random.default_rng(5)
     fields = [grid.GridField(rng.normal(size=(3, 16, 16, 16)), 2 * np.pi,
-                             time_tag=float(t)) for t in range(7)]
+                             time_tag=float(t)) for t in range(15)]
     params = regularity.RegularityParams(alpha=1.0, epsilon=0.25, gamma=0.1,
                                          K_threshold=1.0)
     caches, reports = {}, {}
