@@ -20,8 +20,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# bound now, or importing the submodule would leave it under the same name
-from .integrate import integrate, rk4_fixed_step
+#: species of a shell state, of the wavelet basis and of a trajectory file
+N_SPECIES = 4
 
 #: submodule -> the public names it defines, each imported on first use
 _EXPORTS = dict(
@@ -30,6 +30,7 @@ _EXPORTS = dict(
             "state_from_entries timescale_ratio total_energy",
     cubes="BumpProfile CubeId LevelResolutionError cube_hierarchy nuclear_family vitali_cover",
     grid="GridField",
+    integrator="integrate rk4_fixed_step",
     operator="apply_cascade_operator paraproduct_split",
     potentials="NonzeroMomentumError divergence_potential",
     regularity="CoefficientCache CoveringReport CubeRecord RegularityParams analyze_snapshots "
@@ -41,7 +42,7 @@ _EXPORTS = dict(
              "project_coefficients synthesize_checked synthesize_field")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = sorted([*_EXPORTS, *_SOURCE, "integrate", "rk4_fixed_step"])
+__all__ = sorted([*_EXPORTS, *_SOURCE])
 
 
 def __getattr__(name):

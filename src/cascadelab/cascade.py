@@ -22,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import N_SPECIES
 from .tensor import CoefficientTensor, dyadic_cascade_tensor, validate_tensor
-
-N_SPECIES = 4
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"

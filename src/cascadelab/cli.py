@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain violation, 2 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -77,5 +78,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """:func:`main`, then ``gc.freeze()``, so that exit collects nothing."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -136,10 +136,14 @@ def nyquist(n_grid: int, box_size: float) -> float:
     return np.pi * n_grid / box_size
 
 
-def real_samples(hat: np.ndarray, n: int, out=None) -> np.ndarray:
+def real_samples(hat: np.ndarray, n: int, out=None, lines=None) -> np.ndarray:
     """Real (n, n, n) samples of a Hermitian half spectrum whose missing
-    columns are zero: ``irfftn``'s passes, the first two overwriting ``hat``."""
-    np.fft.ifft(hat, axis=0, out=hat)
+    columns are zero: ``irfftn``'s passes, the first two overwriting ``hat``;
+    the first only on ``lines`` ``(ky, kz)``, if given, all others zero."""
+    if lines is None:
+        np.fft.ifft(hat, axis=0, out=hat)
+    else:
+        hat[:, lines[0], lines[1]] = np.fft.ifft(hat[:, lines[0], lines[1]], axis=0)
     np.fft.ifft(hat, axis=1, out=hat)
     return np.fft.irfft(hat, n=n, axis=2, out=out)
 

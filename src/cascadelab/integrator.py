@@ -22,7 +22,8 @@ import sys
 
 import numpy as np
 
-from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory, N_SPECIES,
+from . import N_SPECIES
+from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                       STATUS_BLOWUP, STATUS_COMPLETED, STATUS_UNDERFLOW)
 
 # Dormand-Prince 5(4) tableau: stage rows, 5th-order weights, error weights

@@ -14,15 +14,15 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
-                      N_SPECIES, state_from_entries)
+from . import N_SPECIES, __version__
 from .grid import GridField, _is_power_of_two
-from .integrate import CONTROLS, check_controls
-from .tensor import CoefficientTensor
+
+if TYPE_CHECKING:  # the shell-model modules load in the functions that call them
+    from .cascade import CascadeConfig, CascadeState, CascadeTrajectory
 
 SCHEMA_CONFIG = "cascade-config/1"
 SCHEMA_TRAJECTORY = "trajectory-sidecar/1"
@@ -81,10 +81,6 @@ FIELDS = {
     SCHEMA_MANIFEST: ({"subcommand": TEXT, "digest": TEXT, "outputs": TEXTS},
                       {}),
 }
-#: the integrator block of a cascade config, which takes no other key
-INTEGRATOR_FIELDS = ({}, {**{name: INTEGER if kinds is int else NUMBER
-                             for name, (kinds, *_) in CONTROLS.items()},
-                          "initial": OBJECT})
 _KEYWORDS = {"lambda": "lam"}  # field -> argument, for Python keywords
 
 
@@ -197,6 +193,7 @@ _INITIAL_KEY = re.compile(r"X_(\d+)_(-?\d+)")
 
 def initial_state(config: CascadeConfig, entries: dict) -> CascadeState:
     """State from an integrator block's ``{"X_<i>_<n>": value}`` entries."""
+    from .cascade import state_from_entries
     parsed = {}
     for key, value in entries.items():
         match = _INITIAL_KEY.fullmatch(key)
@@ -216,13 +213,20 @@ def initial_state(config: CascadeConfig, entries: dict) -> CascadeState:
 def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
     """Config and its integrator block, both checked; a value out of range
     is a DomainError."""
+    from .cascade import CascadeConfig
+    from .integrator import CONTROLS, check_controls
+    from .tensor import CoefficientTensor
+
     fields, _ = read_document(path, SCHEMA_CONFIG)
     integrator = fields.pop("integrator", {})
-    unknown = sorted(set(integrator) - set(INTEGRATOR_FIELDS[1]))
+    # the integrator block's table, which takes no other key
+    accepted = {**{name: INTEGER if kinds is int else NUMBER
+                   for name, (kinds, *_) in CONTROLS.items()}, "initial": OBJECT}
+    unknown = sorted(set(integrator) - set(accepted))
     if unknown:
         raise InputError(f"{path}: unknown integrator key {unknown[0]!r}; "
-                         f"accepted: {', '.join(INTEGRATOR_FIELDS[1])}")
-    controls = read_fields(integrator, INTEGRATOR_FIELDS, f"{path}: integrator")
+                         f"accepted: {', '.join(accepted)}")
+    controls = read_fields(integrator, ({}, accepted), f"{path}: integrator")
     initial = controls.pop("initial", None)
     try:
         fields["tensor"] = CoefficientTensor.from_rows(fields["tensor"])

@@ -18,15 +18,13 @@ import numpy as np
 
 from . import io as iomod
 from .grid import map_snapshots
-from .integrate import integrate
-from .tensor import validate_tensor
 
-#: wavelet-layer and analyzer entry points, resolved through the package on
-#: first use so that ``simulate`` loads neither; a replacement set here is kept.
-#: ``synthesize_checked`` is resolved on the calling thread and run on the
-#: snapshot pool (``grid.map_snapshots``), which ``simulate`` never starts.
-_DEFERRED = ("build_wavelet_basis", "synthesize_checked", "RegularityParams",
-             "analyze_snapshots")
+#: each stage's layer entry points, resolved through the package on first
+#: use so that a stage loads only its own layers; a replacement set here is
+#: kept.  ``synthesize_checked`` is resolved on the calling thread and run on
+#: the snapshot pool (``grid.map_snapshots``), which ``simulate`` never starts.
+_DEFERRED = ("validate_tensor", "integrate", "build_wavelet_basis",
+             "synthesize_checked", "RegularityParams", "analyze_snapshots")
 
 
 def _deferred(name: str):
@@ -74,7 +72,7 @@ def run_validate(config_path) -> tuple[int, str]:
         return 2, f"input error: {exc}"
     except iomod.DomainError as exc:
         return 1, f"domain violation: {exc}"
-    report = validate_tensor(config.tensor)
+    report = _deferred("validate_tensor")(config.tensor)
     return (0 if report.valid else 1), str(report)
 
 
@@ -82,7 +80,7 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
     """Integrate the configured system and write CSV + sidecar + manifest."""
     start = time.monotonic()
     config, integrator = iomod.load_cascade_config(config_path)
-    report = validate_tensor(config.tensor)
+    report = _deferred("validate_tensor")(config.tensor)
     if not report.valid:
         raise iomod.DomainError(str(report))
     if not 0 < t_end < np.inf:
@@ -90,7 +88,7 @@ def run_simulate(config_path, t_end: float, out_path) -> dict:
 
     initial_entries = integrator.pop("initial", iomod.DEFAULT_INITIAL)
     initial = iomod.initial_state(config, initial_entries)
-    trajectory = integrate(config, initial, t_end, **integrator)
+    trajectory = _deferred("integrate")(config, initial, t_end, **integrator)
 
     digest = iomod.canonical_digest(iomod.config_to_dict(
         config, dict(integrator, initial=initial_entries)))

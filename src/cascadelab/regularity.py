@@ -146,7 +146,8 @@ class CoefficientCache:
             raise ValueError("snapshots must share one grid")
         self.times = np.array(times, dtype=float)
         self.partition = mode_partition(self.n_grid)
-        self._half_radii = mode_radii(self.n_grid)[..., :self.n_grid // 2 + 1].copy()
+        k2 = np.fft.fftfreq(self.n_grid, 1.0 / self.n_grid).astype(int) ** 2
+        self._half_r2 = k2[:, None, None] + k2[:, None] + k2[:self.n_grid // 2 + 1]
         self.unresolved_bands: set[int] = set()
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
@@ -175,15 +176,10 @@ class CoefficientCache:
             if not self.partition.j_min <= band <= self.partition.j_max:
                 self.unresolved_bands.add(band)
                 continue
-            if band not in symbols:
-                # built here, so no pool thread writes a cache; a band symbol
-                # is zero beyond column 3 2**band (which bounds |k| from
-                # below) of the real-FFT half spectrum
-                cols = min(int(np.ceil(3.0 * 2.0 ** band)), self.n_grid // 2 + 1)
-                symbols[band] = self.partition.symbol(
-                    band, self._half_radii[..., :cols])
+            if band not in symbols:  # built here, so no pool thread writes a cache
+                symbols[band] = self.band_symbol(band)
             for plan in plans[lo:hi]:
-                plan.setdefault(band, (symbols[band], {}))[1][level] = weights
+                plan.setdefault(band, (*symbols[band], {}))[2][level] = weights
         read = [s for s, plan in enumerate(plans) if plan]  # none: zip starts no pool
         jobs = _loaded((self.snapshots[s], plans[s]) for s in read)
         for s, found in zip(read, map_snapshots(_snapshot_rows, jobs)):
@@ -193,6 +189,16 @@ class CoefficientCache:
         self.stats["forward_ffts"] += len(read)
         self.stats["band_inverses"] += sum(len(plans[s]) for s in read)
         self._first.update(first)
+
+    def band_symbol(self, band: int) -> tuple[np.ndarray, tuple | None]:
+        """``(symbol, lines)``: the symbol on the real-FFT half spectrum up to
+        column ``3 2**band``, where it ends, a table of its values on the
+        integer ``|k|**2``, and the ``(ky, kz)`` lines it reaches (None: all)."""
+        cols = min(int(np.ceil(3.0 * 2.0 ** band)), self.n_grid // 2 + 1)
+        r2 = self._half_r2[..., :cols]
+        symbol = self.partition.symbol(band, np.sqrt(np.arange(r2.max() + 1)))[r2]
+        nonzero = symbol.any(axis=0)
+        return symbol, None if nonzero.all() else np.nonzero(nonzero)
 
     def _axis_weights(self, level: int) -> np.ndarray:
         """(m, N) squared cutoff profile of each level cube along one axis."""
@@ -255,7 +261,8 @@ def _snapshot_rows(box: list, cell_volume: float, plan: dict, work) -> dict:
 
     ``box`` holds the samples and is emptied, so the field is dropped once
     its real-FFT spectrum exists; ``plan`` maps each band to its half
-    symbol and the axis weights of its levels, and ``work`` holds the pool
+    symbol, the lines it reaches and the axis weights of its levels
+    (:meth:`CoefficientCache.band_symbol`), and ``work`` holds the pool
     thread's work arrays.  Runs on a pool thread, so it calls no stage or
     layer function (a tracer that wraps those keeps one span stack per
     process); its inverse is ``grid.real_samples``.
@@ -268,17 +275,17 @@ def _snapshot_rows(box: list, cell_volume: float, plan: dict, work) -> dict:
         np.fft.rfftn(data[c], out=spectrum[c])
     del data
     rows = {}
-    for band, (symbol, weights) in plan.items():
-        density = _band_density(spectrum, symbol, n, work)
+    for band, (symbol, lines, weights) in plan.items():
+        density = _band_density(spectrum, symbol, lines, n, work)
         for level, w in weights.items():
             rows[level, band] = np.sqrt(_separable_sum(w, density) * cell_volume)
     return rows
 
 
-def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int,
+def _band_density(spectrum: np.ndarray, symbol: np.ndarray, lines, n: int,
                   work) -> np.ndarray:
     """Pointwise ``|P_band u|^2`` from a real-FFT spectrum, one component at
-    a time: inverted without the columns where the band is zero, squared
+    a time: inverted on the columns and ``lines`` the band reaches, squared
     and summed over components in order.  Only the density is allocated;
     the product and later squares go to the work arrays of ``work``."""
     cols = symbol.shape[-1]
@@ -288,7 +295,7 @@ def _band_density(spectrum: np.ndarray, symbol: np.ndarray, n: int,
     for comp in spectrum:
         square = real_samples(np.multiply(comp[..., :cols], symbol, out=hat), n,
                               out=None if density is None else work_array(
-                                  work, "square", (n, n, n)))
+                                  work, "square", (n, n, n)), lines=lines)
         np.square(square, out=square)
         density = square if density is None else np.add(density, square, out=density)
     return density

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import N_SPECIES
+
 #: admissible offset triples: no shift, or a single +1 shift in one slot
 OFFSET_SET = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-SPECIES = (1, 2, 3, 4)
 
 #: tolerance below which a cancellation-group sum counts as zero
 CANCELLATION_TOL = 1e-12
@@ -43,7 +43,7 @@ def _check_key(key) -> TensorKey:
     if len(key) != 6:
         raise TensorKeyError(f"key must have 6 entries, got {key!r}")
     i1, i2, i3, m1, m2, m3 = key
-    if not all(i in SPECIES for i in (i1, i2, i3)):
+    if not all(1 <= i <= N_SPECIES for i in (i1, i2, i3)):
         raise TensorKeyError(f"species indices must lie in 1..4, got {key!r}")
     if (m1, m2, m3) not in OFFSET_SET:
         raise TensorKeyError(f"offset triple must lie in {OFFSET_SET}, got {key!r}")

@@ -21,7 +21,8 @@ only real-input transforms run, one component at a time: synthesis builds
 only the ``kz >= 0`` half of the spectrum (the other half is its mirror)
 and inverts it with :func:`~cascadelab.grid.real_samples`, and projection
 reads ``Re u_hat`` from an ``rfftn`` (``Re u_hat(-k) = Re u_hat(k)`` for a
-real field, so a mode in the other half is read at its mirror).  The profile
+real field, so a mode in the other half is read at its mirror), both only
+on the lines that hold a mode (:attr:`WaveletBasis.support`).  The profile
 fields ``psi`` are materialized on first read; building the basis runs no
 transform.  Each ball is scanned only on the index box around it.
 
@@ -138,15 +139,27 @@ class WaveletBasis:
         n = self.n_grid
         return np.zeros((3, n * n * n), dtype=complex)
 
+    @cached_property
+    def support(self) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+        """``(kc, (ky, kz))``: each basis mode, or its mirror outside the half
+        spectrum, has ``kz < kc`` and lies on an axis-0 line ``(ky, kz)``."""
+        half = self.n_grid // 2 + 1
+        held = np.zeros(self.n_grid * half, bool)  # np.unique would load numpy.ma
+        for sh in self.shells.values():
+            held[sh.half_idx % held.size] = True
+        ky, kz = np.divmod(np.flatnonzero(held), half)
+        return int(kz.max()) + 1, (ky, kz)
+
     def materialize(self, spectrum_flat: np.ndarray,
                     time_tag: float | None = None) -> GridField:
-        """Real field of a Hermitian flat spectrum, half or full layout; only
-        the ``kz >= 0`` half is read, and it is overwritten in the inverse."""
+        """Real field of a Hermitian flat spectrum, half or full layout, zero
+        off the basis modes; its :attr:`support` columns are overwritten."""
         n = self.n_grid
-        hat = spectrum_flat.reshape(3, n, n, -1)[..., :n // 2 + 1]
+        kc, lines = self.support
+        hat = spectrum_flat.reshape(3, n, n, -1)[..., :kc]
         data = np.empty((3, n, n, n))
         for comp, out in zip(hat, data):
-            real_samples(comp, n, out=out)
+            real_samples(comp, n, out=out, lines=lines)
         return GridField(data, self.box_size, time_tag)
 
     @cached_property
@@ -254,26 +267,29 @@ def project_coefficients(fld: GridField, basis: WaveletBasis,
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
     Output shape is (4, window length), species-major.  The amplitudes
-    are real, so only ``Re u_hat`` enters, read from an ``rfftn`` of each
-    component at each mode or its mirror; this is exact for any real
-    field.  Recovery of a field synthesized from the same basis is exact
-    (to roundoff) by disjoint spectral supports.  ``work``: see
-    :func:`~cascadelab.grid.work_array`.
+    are real, so only ``Re u_hat`` enters, read from ``rfftn``'s passes
+    over the basis :attr:`~WaveletBasis.support` at each mode or its mirror;
+    this is exact for any real field.  Recovery of a field synthesized from
+    the same basis is exact (to roundoff) by disjoint spectral supports.
+    ``work``: see :func:`~cascadelab.grid.work_array`.
     """
     if fld.n_grid != basis.n_grid:
         raise ValueError("field grid does not match the basis grid")
     if abs(fld.box_size - basis.box_size) > 1e-12 * basis.box_size:
         raise ValueError("field box size does not match the basis box size")
     n = fld.n_grid
-    hat = work_array(work, "re_hat", (3, n * n * (n // 2 + 1)))  # Re u_hat per component
-    spectrum = work_array(work, "spectrum", (n, n, n // 2 + 1), complex)
-    for comp, re in zip(fld.data, hat):
-        np.copyto(re.reshape(spectrum.shape), np.fft.rfftn(comp, out=spectrum).real)
+    kc, (ky, kz) = basis.support
+    hat = work_array(work, "half_spectrum", (3, n * n * (n // 2 + 1)), complex)
+    for comp, spectrum in zip(fld.data, hat.reshape(3, n, n, -1)):
+        np.fft.rfft(comp, axis=2, out=spectrum)
+        part = spectrum[..., :kc]
+        np.fft.fft(part, axis=1, out=part)
+        part[:, ky, kz] = np.fft.fft(part[:, ky, kz], axis=0)
     weight = basis.box_size ** 3 / n ** 6
     lo, hi = basis.n_window
     out = np.zeros((4, hi - lo + 1))
     for (i, shell_n), sh in basis.shells.items():
-        out[i - 1, shell_n - lo] = np.sum(hat[:, sh.half_idx] * sh.amp) * weight
+        out[i - 1, shell_n - lo] = np.sum(hat[:, sh.half_idx].real * sh.amp) * weight
     return out
 
 

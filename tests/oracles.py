@@ -80,6 +80,20 @@ def energy_balance_residual_loop(trajectory, config) -> np.ndarray:
     return out
 
 
+def project_coefficients_rfftn(fld: GridField, basis) -> np.ndarray:
+    """Full-``rfftn`` reference for ``wavelets.project_coefficients``:
+    ``Re u_hat`` of every half-spectrum mode, read at each basis mode or at
+    its mirror."""
+    n = fld.n_grid
+    hat = np.stack([np.fft.rfftn(comp).real.ravel() for comp in fld.data])
+    weight = basis.box_size ** 3 / n ** 6
+    lo, hi = basis.n_window
+    out = np.zeros((4, hi - lo + 1))
+    for (i, shell_n), sh in basis.shells.items():
+        out[i - 1, shell_n - lo] = np.sum(hat[:, sh.half_idx] * sh.amp) * weight
+    return out
+
+
 def apply_symbol_complex(fld: GridField, symbol: np.ndarray) -> GridField:
     """Full-spectrum reference for ``grid.apply_symbol``."""
     hat = np.fft.fftn(fld.data, axes=(1, 2, 3))

@@ -210,7 +210,7 @@ class TestEnergyBalanceResidual:
     @pytest.mark.parametrize("alpha, n_range, t_end", [
         (1.25, (0, 6), 0.5), (0.75, (0, 7), 1.0), (1.0, (0, 8), 0.5)])
     def test_matches_sample_loop_bitwise(self, alpha, n_range, t_end):
-        from cascadelab.integrate import integrate
+        from cascadelab.integrator import integrate
         from oracles import energy_balance_residual_loop
         cfg = builtin_dyadic_config(2.0, alpha, n_range, kappa=1.0)
         traj = integrate(cfg, state_from_entries(cfg, {(1, 0): 1.0, (2, 1): -0.5}),
@@ -231,7 +231,7 @@ class TestRescale:
         # interior-supported smooth solution on O(1)-rate shells; uniform
         # samples produced by segment restarts (every sample is an accepted
         # integrator endpoint, no interpolation error)
-        from cascadelab.integrate import integrate
+        from cascadelab.integrator import integrate
         state = state_from_entries(cfg, {(1, -1): 0.5, (1, 0): -0.3, (2, 1): 0.2})
         ts = np.linspace(0, t_end, n_samples)
         samples = [state.copy()]
@@ -304,7 +304,7 @@ class TestConfigValidation:
 
     def test_truncation_window_insensitivity(self):
         # interior-supported run barely changes when the window widens
-        from cascadelab.integrate import integrate
+        from cascadelab.integrator import integrate
         cfg_a = builtin_dyadic_config(2.0, 1.0, (0, 11), kappa=0.5)
         cfg_b = builtin_dyadic_config(2.0, 1.0, (-2, 13), kappa=0.5)
         s_a = state_from_entries(cfg_a, {(1, 5): 0.4, (1, 6): 0.3})

@@ -6,7 +6,7 @@ import pytest
 from cascadelab.cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                                 builtin_dyadic_config,
                                 state_from_entries, total_energy)
-from cascadelab.integrate import integrate, rk4_fixed_step
+from cascadelab.integrator import integrate, rk4_fixed_step
 
 
 def test_linear_decay_closed_form():

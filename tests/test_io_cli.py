@@ -1,6 +1,7 @@
 """File formats, schema versioning, manifests, and CLI subcommands."""
 
 import ast
+import gc
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from cascadelab import pipeline
 from cascadelab.cascade import builtin_dyadic_config, state_from_entries
 from cascadelab.cli import main
 from cascadelab.grid import GridField
-from cascadelab.integrate import integrate
+from cascadelab.integrator import integrate
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -989,19 +990,52 @@ def test_json_is_read_only_by_read_document():
     assert readers == ["io.read_document"]
 
 
-def test_cli_import_leaves_wavelets_and_analyzer_unloaded():
-    """``simulate`` imports neither layer; every exported name still resolves."""
+def _package_env() -> dict:
     src = os.path.dirname(os.path.dirname(cascadelab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_leaves_wavelets_and_analyzer_unloaded(tmp_path):
+    """``simulate`` imports neither layer, and ``synthesize`` and ``analyze``
+    import none of the shell-model modules; every exported name still resolves."""
+    traj = tmp_path / "sim" / "traj.csv"
+    assert main(["simulate", "--config", str(CONFIGS / "pipeline_demo.json"),
+                 "--t-end", "0.01", "--out", str(traj)]) == 0
+    basis = write_basis_config(tmp_path / "basis.json", n_grid=16, base_scale=2.5)
+    params = write_params(tmp_path / "params.json")
+    snaps, report = tmp_path / "snaps", tmp_path / "analysis" / "report.json"
     code = ("import sys, cascadelab.cli\n"
             "loaded = {'cascadelab.regularity', 'cascadelab.wavelets'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            f"cascadelab.pipeline.run_synthesize({str(traj)!r}, {str(basis)!r}, "
+            f"[0.002, 0.005, 0.008], {str(snaps)!r})\n"
+            f"cascadelab.pipeline.run_analyze({str(snaps)!r}, {str(params)!r}, "
+            f"{str(report)!r})\n"
+            "loaded = {'cascadelab.cascade', 'cascadelab.tensor',\n"
+            "          'cascadelab.integrator'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
             "import cascadelab, cascadelab.io\n"
             "for name in cascadelab.__all__:\n"
             "    getattr(cascadelab, name)\n"
             "assert callable(cascadelab.integrate)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert report.exists()
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    """``main`` leaves the collector alone; ``run``, the entry of ``python -m
+    cascadelab.cli`` and of the ``cascadelab`` command, freezes it last."""
+    config = str(CONFIGS / "pipeline_demo.json")
+    assert main(["validate", "--config", config]) == 0
+    assert gc.get_freeze_count() == 0
+    code = ("import gc, sys\n"
+            "from cascadelab import cli\n"
+            f"sys.argv = ['cascadelab', 'validate', '--config', {config!r}]\n"
+            "assert cli.run() == 0 and gc.get_freeze_count() > 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 

@@ -112,13 +112,21 @@ class TestCoefficientCache:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_half_symbols_are_the_full_symbols_trimmed(self, n):
         """``fill`` cuts each band symbol after half-spectrum column
-        ``3 2**band``: the last kept column is nonzero and nothing beyond it is."""
+        ``3 2**band``: the last kept column is nonzero and nothing beyond it is.
+        The table-built symbol is that trimmed symbol, bit for bit."""
         partition = mode_partition(n)
         radii = mode_radii(n)[..., :n // 2 + 1]
+        cache = CoefficientCache([GridField(np.zeros((3, n, n, n)), time_tag=0.0)], EPS)
         for band in partition.bands():
             full = partition.symbol(band, radii)
             cols = min(int(np.ceil(3.0 * 2.0 ** band)), n // 2 + 1)
             assert full[..., cols - 1].any() and not full[..., cols:].any()
+            symbol, lines = cache.band_symbol(band)
+            assert symbol.tobytes() == partition.symbol(
+                band, mode_radii(n)[..., :cols]).tobytes()
+            reached = np.zeros(symbol.shape[1:], bool)
+            reached[lines] = True  # None: every line
+            assert np.array_equal(reached, symbol.any(axis=0))
 
 
 #: window widths on TIMES (span 1.0, last gap 0.1), one per regime

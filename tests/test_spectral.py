@@ -213,3 +213,8 @@ def test_real_samples_match_irfftn(n):
     padded[..., n // 4:] = 0.0  # columns a short spectrum leaves out are zero
     assert _max_rel(real_samples(hat[..., :n // 4].copy(), n),
                     np.fft.irfftn(padded, s=(n, n, n), axes=(0, 1, 2))) < 1e-13
+    lines = np.nonzero(rng.random((n, n // 2 + 1)) < 0.2)
+    sparse = np.zeros_like(hat)  # zero off the lines of the first pass
+    sparse[:, lines[0], lines[1]] = hat[:, lines[0], lines[1]]
+    assert np.array_equal(real_samples(sparse.copy(), n, lines=lines),
+                          real_samples(sparse.copy(), n))

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cascadelab.grid import (GridField, inner, l2_norm, mean_integral,
-                             spectral_divergence, spectral_gradient_norm)
+                             real_samples, spectral_divergence,
+                             spectral_gradient_norm)
 from cascadelab.wavelets import (BallGeometry, UnresolvedShellError,
                                  _polarization,
                                  build_wavelet_basis, project_coefficients,
                                  radial_bump, synthesize_field)
+from oracles import project_coefficients_rfftn
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +206,32 @@ class TestRealTransforms:
             ref[i - 1, shell_n] = np.sum(hat[:, sh.flat_idx] * sh.amp).real * weight
         got = project_coefficients(fld, basis64)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["basis32", "basis64"])
+    def test_pruned_inverse_is_the_full_inverse(self, name, request):
+        """Synthesis and ``materialize`` transform only the support lines,
+        and give the full passes' samples for every shell."""
+        basis = request.getfixturevalue(name)
+        n, (lo, hi) = basis.n_grid, basis.n_window
+        for (i, shell_n) in basis.shells:
+            spec = shell_spectrum(basis, (i, shell_n))
+            half = spec.reshape(3, n, n, n)[..., :n // 2 + 1].copy()
+            ref = np.stack([real_samples(comp, n) for comp in half])
+            assert np.array_equal(basis.materialize(spec).data, ref)
+            coeffs = np.zeros((4, hi - lo + 1))
+            coeffs[i - 1, shell_n - lo] = 1.0
+            assert np.array_equal(synthesize_field(coeffs, basis).data, ref)
+
+    @pytest.mark.parametrize("window", [(0, 2), (1, 2)])
+    def test_projection_equals_the_full_rfftn_reading(self, window):
+        basis = build_wavelet_basis(2.0, 64, n_window=window, base_scale=4.0)
+        rng = np.random.default_rng(window[0])
+        noise = GridField(rng.normal(size=(3, 64, 64, 64)), basis.box_size)
+        field = synthesize_field(rng.normal(size=(4, window[1] - window[0] + 1)),
+                                 basis)
+        for fld in (noise, field):
+            assert (project_coefficients(fld, basis).tobytes()
+                    == project_coefficients_rfftn(fld, basis).tobytes())
 
     @pytest.mark.parametrize("name", ["basis32", "basis64"])
     def test_box_scan_equals_full_grid_scan(self, name, request):
