@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from cascadelab.cascade import CascadeState
 from cascadelab.cubes import BumpProfile, CubeId, cube_side_cells, level_geometry
 from cascadelab.grid import GridField, apply_symbol, wave_vectors
 from cascadelab.regularity import (VERDICT_BAD, CoefficientCache,
@@ -178,3 +179,35 @@ def cubes_intersect_cells(a: CubeId, b: CubeId, n_grid: int) -> bool:
     """Exact reference for ``cubes.cubes_intersect``: a shared cell."""
     return all(ca & cb for ca, cb in zip(cube_cells(a, n_grid),
                                          cube_cells(b, n_grid)))
+
+
+_DP5_ROWS = [[1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+             [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+             [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+             [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]
+_DP5_ERROR = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+              22 / 525, -1 / 40]
+
+
+def dp5_reference(config, initial, t_end: float, rel_tol: float):
+    """Final state of a plain Dormand-Prince 5(4) run on the full
+    derivative: every stage evaluated afresh, an I controller, the error
+    norm and absolute floor of ``integrate``.  The reference for windows
+    with dissipation, which ``integrate`` steps exponentially."""
+    plan = config.compiled_rhs
+    y, t = initial.X.ravel().astype(float), float(initial.t)
+    atol = rel_tol * 1e-3 * float(np.max(np.abs(y)))
+    h = 1e-6
+    while t < t_end:
+        h = min(h, t_end - t)
+        k = [plan(y)]
+        for row in _DP5_ROWS:  # the last row gives y_new and k7 = f(y_new)
+            y_new = y + h * sum(a * kj for a, kj in zip(row, k))
+            k.append(plan(y_new))
+        delta = h * sum(e * kj for e, kj in zip(_DP5_ERROR, k))
+        scale = atol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((delta / scale) ** 2)))
+        if err <= 1.0:
+            t, y = t + h, y_new
+        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+    return CascadeState(t, y.reshape(initial.X.shape))

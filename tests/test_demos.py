@@ -2,7 +2,8 @@
 directory behind.
 
 Demos 02, 03 (at a 32^3 grid) and 04 take about a second each.  Demo 01
-is left out: it takes close to a minute.
+is left out: it takes about 8 s on a 2-core host, most of it the
+fixed-step RK4 reference of its section 4.
 """
 
 import os

@@ -1,12 +1,15 @@
 """Adaptive integrator: accuracy, statuses, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cascadelab.cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                                 builtin_dyadic_config,
                                 state_from_entries, total_energy)
-from cascadelab.integrator import integrate, rk4_fixed_step
+from cascadelab.integrator import etd_coefficients, integrate, rk4_fixed_step
+from oracles import dp5_reference
 
 
 def test_linear_decay_closed_form():
@@ -62,13 +65,40 @@ def test_inviscid_energy_conservation():
 
 
 def test_step_underflow_on_stiff_decay():
-    # explicit method cannot hold h above the forced floor on this stiff run
-    cfg = CascadeConfig(lam=2.0, alpha=2.0, n_min=0, n_max=9, kappa=1.0)
-    s = state_from_entries(cfg, {(1, 9): 1.0})
-    traj = integrate(cfg, s, t_end=1.0, rel_tol=1e-9, h_min=1e-4)
+    # the exponential step takes the decay exactly, so here it is the step
+    # that the quadratic part asks for that lies below the forced floor
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 7), kappa=50.0)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=1.0, rel_tol=1e-9, h_min=1e-3)
     assert traj.status == "step_underflow"
     assert traj.blowup_time_estimate is None
     assert traj.integrator_stats["stop_reason"] == "h_min"
+    assert traj.integrator_stats["method"] == "etdrk4"
+
+
+def test_stiff_decay_holds_a_step_above_h_min():
+    """Pure decay in a fast shell (rate 2**36): DP5 could not hold a step
+    above 1e-4; the exponential step takes the whole span in one step."""
+    cfg = CascadeConfig(lam=2.0, alpha=2.0, n_min=0, n_max=9, kappa=1.0)
+    s = state_from_entries(cfg, {(1, 9): 1.0})
+    traj = integrate(cfg, s, t_end=1.0, rel_tol=1e-9, h_min=1e-4)
+    assert traj.status == "completed"
+    assert traj.integrator_stats["method"] == "etdrk4"
+    assert traj.times[-1] == 1.0
+    assert not traj.X[-1].any()  # exp(-2**36) underflows to 0
+
+
+def test_step_underflow_on_inviscid_front():
+    """A front reaching the top of shells 0..11 forces DP5 below an h_min
+    that it held more than a hundredfold above earlier."""
+    cfg = builtin_dyadic_config(2.0, 1.0, (0, 11), kappa=0.0)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=2.0, rel_tol=1e-9, h_min=5e-6)
+    assert traj.status == "step_underflow"
+    assert traj.blowup_time_estimate is None
+    assert traj.integrator_stats["stop_reason"] == "h_min"
+    assert traj.integrator_stats["method"] == "dp5"
+    assert traj.integrator_stats["h_max_reached"] > 100 * 5e-6
 
 
 def test_exhausted_step_budget_reports_max_steps():
@@ -83,7 +113,7 @@ def test_exhausted_step_budget_reports_max_steps():
 
 
 def test_overdamped_critical_run_matches_rk4_reference():
-    """alpha = 5/4, kappa = 50, shells 0..7: the fused DP5 step lands within
+    """alpha = 5/4, kappa = 50, shells 0..7: the adaptive run lands within
     one tolerance unit of fixed-step RK4 at h = 2e-7 (inside RK4's stability
     interval for the fastest rate, about 9.3e6)."""
     rel_tol, t_end, n_steps = 1e-8, 0.005, 25_000
@@ -204,3 +234,111 @@ def test_guard_ratio_is_final_over_initial_weighted_norm(kappa, status):
     ratio = traj.integrator_stats["guard_ratio"]
     assert ratio == norm(X[-1]) / norm(X[0])
     assert (ratio > 1e3) == (status == "blowup_detected")
+
+
+# ---------------------------------------------------------------------------
+# the exponential step (kappa > 0)
+
+
+def _phi(z, k, terms=12):
+    """Taylor series of phi_k(z) = sum_j z**j / (j + k)!."""
+    return sum(z ** j / math.factorial(j + k) for j in range(terms))
+
+
+def test_etd_coefficients_match_their_series_and_closed_forms():
+    """The contour means equal the Taylor series near z = 0 and the closed
+    forms of Cox and Matthews away from it, to 1e-13 relative.  (Close to
+    |z| = 1 a contour point passes near 0, where the closed form cancels;
+    there the means are good to about 1e-12.)"""
+    small = -np.array([0.0, 1e-15, 1e-12, 1e-8, 3e-6, 2e-4, 9.9e-4])
+    p1, p2, p3 = (np.array([_phi(z, k) for z in small]) for k in (1, 2, 3))
+    series = [np.exp(small), np.exp(small / 2),
+              np.array([_phi(z / 2, 1) / 2 for z in small]),
+              p1 - 3 * p2 + 4 * p3, p2 - 2 * p3, 4 * p3 - p2]
+    np.testing.assert_allclose(etd_coefficients(small), series, rtol=1e-13)
+
+    z = -np.array([1.5, 2.0, 5.0, 10.0, 47.0, 1e3, 1e5])
+    e = np.exp(z)
+    closed = [e, np.exp(z / 2), (np.exp(z / 2) - 1) / z,
+              (-4 - z + e * (4 - 3 * z + z * z)) / z ** 3,
+              (2 + z + e * (z - 2)) / z ** 3,
+              (-4 - 3 * z - z * z + e * (4 - z)) / z ** 3]
+    np.testing.assert_allclose(etd_coefficients(z), closed, rtol=1e-13)
+    # any shape: the integrator builds the full and the half step at once
+    grid = -np.array([[1e-6, 0.5], [1e2, 3.0]])
+    assert np.array_equal(etd_coefficients(grid)[:, 1, 0],
+                          etd_coefficients(grid[1])[:, 0])
+
+
+def test_exponential_step_integrates_pure_decay_exactly():
+    cfg = CascadeConfig(lam=2.0, alpha=1.0, n_min=0, n_max=4, kappa=1.0)
+    s = state_from_entries(cfg, {(1, n): 0.7 for n in range(5)})
+    traj = integrate(cfg, s, t_end=0.1, rel_tol=1e-9)
+    assert traj.status == "completed"
+    assert traj.integrator_stats["method"] == "etdrk4"
+    assert traj.integrator_stats["rejected_steps"] == 0
+    exact = 0.7 * np.exp(-np.outer(traj.times, 4.0 ** np.arange(5)))
+    np.testing.assert_allclose(traj.X[:, 0], exact, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5])
+def test_exponential_step_matches_a_dp5_reference(kappa):
+    """Within one tolerance unit of a plain DP5 run at rel_tol 1e-12."""
+    rel_tol, t_end = 1e-8, 0.05
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 8), kappa=kappa)
+    s = state_from_entries(cfg, {(1, 0): 1.0, (1, 1): -0.2})
+    traj = integrate(cfg, s, t_end=t_end, rel_tol=rel_tol)
+    assert traj.status == "completed"
+    assert traj.integrator_stats["method"] == "etdrk4"
+    ref = dp5_reference(cfg, s, t_end, rel_tol=1e-12)
+    assert traj.times[-1] == ref.t == t_end
+    x, x_ref = traj.X[-1], ref.X
+    scale = rel_tol * 1e-3 + rel_tol * np.maximum(np.abs(x), np.abs(x_ref))
+    assert float(np.sqrt(np.mean(((x - x_ref) / scale) ** 2))) <= 1.0
+
+
+def test_exponential_rows_match_rk4_at_their_own_times():
+    """Every row of the overdamped run, not only the last, lies within one
+    tolerance unit of fixed-step RK4 (h at most 2e-7) marched to its time."""
+    rel_tol = 1e-8
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 7), kappa=50.0)
+    s = state_from_entries(cfg, {(1, 0): 0.97, (1, 1): 0.08, (1, 2): -0.009})
+    traj = integrate(cfg, s, t_end=0.005, rel_tol=rel_tol)
+    assert traj.integrator_stats["method"] == "etdrk4"
+    atol = rel_tol * 1e-3 * float(np.max(np.abs(s.X)))
+    ref = s
+    for t, x in zip(traj.times[1:], traj.X[1:]):
+        n = math.ceil((t - ref.t) / 2e-7)
+        ref, _ = rk4_fixed_step(cfg, ref, (t - ref.t) / n, t)
+        assert ref.t == pytest.approx(t, rel=1e-12)
+        scale = atol + rel_tol * np.maximum(np.abs(x), np.abs(ref.X))
+        assert float(np.sqrt(np.mean(((x - ref.X) / scale) ** 2))) <= 1.0
+
+
+def test_weakly_viscous_window_is_not_stiff():
+    """alpha = 1, shells 0..11, kappa = 1e-6: the fastest rate, about 4.2,
+    caps no step that accuracy allows, so the run stays on DP5 (where an
+    exponential step would cost about four DP5 steps apiece)."""
+    cfg = builtin_dyadic_config(2.0, 1.0, (0, 11), kappa=1e-6)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=10.0, rel_tol=1e-8, guard_factor=1e4)
+    assert traj.status == "blowup_detected"
+    assert traj.integrator_stats["method"] == "dp5"
+
+
+@pytest.mark.parametrize("kappa, method", [(0.0, "dp5"), (50.0, "etdrk4")])
+def test_both_methods_share_the_budget_rules(kappa, method):
+    """One loop for both methods: the step budget counts attempted steps,
+    the run stops short of t_end, and rhs_evals follows the method's rule."""
+    cfg = builtin_dyadic_config(2.0, 1.25, (0, 7), kappa=kappa)
+    s = state_from_entries(cfg, {(1, 0): 1.0})
+    traj = integrate(cfg, s, t_end=2.0, rel_tol=1e-8, max_steps=10)
+    stats = traj.integrator_stats
+    assert stats["method"] == method
+    assert traj.status == "step_underflow"
+    assert stats["stop_reason"] == "max_steps"
+    assert stats["accepted_steps"] + stats["rejected_steps"] == 10
+    assert traj.times[-1] < 2.0
+    assert stats["rhs_evals"] == {"dp5": 6 * 10 + 1,
+                                  "etdrk4": 10 * 10 + stats["accepted_steps"] + 1
+                                  }[method]

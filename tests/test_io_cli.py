@@ -180,17 +180,29 @@ class TestCLI:
         assert sidecar["blowup_time_estimate"] is not None
 
     def test_simulate_sidecar_carries_integrator_stats(self, tmp_path):
-        config = write_config(tmp_path / "c.json",
-                              integrator={"initial": {"X_1_0": 1.0}})
-        assert main(["simulate", "--config", str(config), "--t-end", "0.02",
-                     "--out", str(tmp_path / "traj.csv")]) == 0
-        sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
-        stats = sidecar["integrator_stats"]
-        assert stats["accepted_steps"] == sidecar["n_samples"] - 1
-        assert stats["rhs_evals"] == 6 * (stats["accepted_steps"]
-                                          + stats["rejected_steps"]) + 1
-        assert 0 < stats["h_min_reached"] <= stats["h_max_reached"]
-        assert "integrator_stats" not in (tmp_path / "manifest.json").read_text()
+        # pure decay at rates 1 and 4 is not stiff over 0.02; the overdamped
+        # dyadic window (fastest rate about 9.3e6) is
+        for name, window, method in (
+                ("inviscid", dict(kappa=0.0), "dp5"),
+                ("decay", dict(kappa=1.0), "dp5"),
+                ("stiff", dict(alpha=1.25, kappa=50.0, n_max=7,
+                               tensor_rows=DYADIC_ROWS), "etdrk4")):
+            run = tmp_path / name
+            run.mkdir()
+            config = write_config(run / "c.json", **window,
+                                  integrator={"initial": {"X_1_0": 1.0}})
+            assert main(["simulate", "--config", str(config), "--t-end", "0.02",
+                         "--out", str(run / "traj.csv")]) == 0
+            sidecar = json.loads((run / "traj.csv.json").read_text())
+            stats = sidecar["integrator_stats"]
+            assert stats["method"] == method
+            assert stats["accepted_steps"] == sidecar["n_samples"] - 1
+            steps = stats["accepted_steps"] + stats["rejected_steps"]
+            assert stats["rhs_evals"] == {
+                "dp5": 6 * steps + 1,
+                "etdrk4": 10 * steps + stats["accepted_steps"] + 1}[method]
+            assert 0 < stats["h_min_reached"] <= stats["h_max_reached"]
+            assert "integrator_stats" not in (run / "manifest.json").read_text()
 
     def test_synthesize_empty_times_writes_nothing(self, tmp_path, capsys):
         argv = _synthesize_with()(tmp_path)
