@@ -19,40 +19,26 @@ SNAPSHOT_WORKERS = min(2, len(os.sched_getaffinity(0))
 
 
 def map_snapshots(fn, jobs):
-    """Yield ``fn(*job, work=work)`` for each job, in order, computed on a
-    pool of ``SNAPSHOT_WORKERS`` threads.
+    """Yield ``fn(*job)`` for each job, in order, computed on a pool of
+    ``SNAPSHOT_WORKERS`` threads.
 
     ``jobs`` is drawn on the calling thread while at most that many results
     are pending, so one job waits queued while the calling thread reads or
-    writes a snapshot, and at most ``SNAPSHOT_WORKERS + 1`` are held.  Each
-    pool thread keeps its :func:`work_array` arrays in ``work``, a
-    ``threading.local`` freed with the pass.  numpy's transforms release
-    the GIL, which is what lets one snapshot's work overlap another's.
+    writes a snapshot, and at most ``SNAPSHOT_WORKERS + 1`` are held.
+    numpy's transforms release the GIL, which is what lets one snapshot's
+    work overlap another's.
     """
-    import threading
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor  # not loaded by simulate
 
-    workers, work = SNAPSHOT_WORKERS, threading.local()
-    pending = deque()
+    workers, pending = SNAPSHOT_WORKERS, deque()
     with ThreadPoolExecutor(workers) as pool:
         for job in jobs:
-            pending.append(pool.submit(fn, *job, work=work))
+            pending.append(pool.submit(fn, *job))
             if len(pending) > workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-
-
-def work_array(work, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """The calling thread's uninitialised ``name`` array of a pass's ``work``
-    (:func:`map_snapshots`), made on first use; a fresh one if ``work`` is None."""
-    arr = getattr(work, name, None)
-    if arr is None or arr.shape != shape or arr.dtype != dtype:
-        arr = np.empty(shape, dtype)
-        if work is not None:
-            setattr(work, name, arr)
-    return arr
 
 
 def _is_power_of_two(n: int) -> bool:

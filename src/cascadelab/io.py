@@ -14,6 +14,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -246,8 +247,7 @@ def load_cascade_config(path) -> tuple[CascadeConfig, dict]:
 def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
                         path, sidecar: dict | None = None):
     """Write the CSV row by row from the trajectory arrays, then the sidecar."""
-    cols = ["t"] + [f"X_{i}_{n}" for i in range(1, N_SPECIES + 1)
-                    for n in range(config.n_min, config.n_max + 1)]
+    cols = trajectory_columns(config.n_min, config.n_max)
     times = trajectory.times
     rows = trajectory.X.reshape(len(times), -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -267,29 +267,40 @@ def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
     dump_json(doc, str(path) + ".json")
 
 
+def trajectory_columns(n_min: int, n_max: int) -> list[str]:
+    """The trajectory CSV header: ``t``, then ``X_<i>_<n>`` species-major."""
+    return ["t"] + [f"X_{i}_{n}" for i in range(1, N_SPECIES + 1)
+                    for n in range(n_min, n_max + 1)]
+
+
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Times, stacked states (n_samples, 4, n_shells), and the sidecar,
-    whose ``n_min`` must not exceed ``n_max``.  Every value must be finite
-    and the times strictly increasing."""
+    whose ``n_min`` must not exceed ``n_max``.  The CSV must have its
+    :func:`trajectory_columns` header, finite values, strictly increasing times."""
     fields, sidecar = read_document(f"{path}.json", SCHEMA_TRAJECTORY)
     n_min, n_max = fields["n_min"], fields["n_max"]
     if n_min > n_max:
         raise InputError(f"{path}.json: n_min {n_min} exceeds n_max {n_max}")
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"malformed trajectory CSV {path}: {exc}") from exc
-    n_shells = n_max - n_min + 1
-    if raw.shape[1] != 1 + N_SPECIES * n_shells:
+    for k, (got, want) in enumerate(zip_longest(header, trajectory_columns(n_min, n_max))):
+        if got != want:
+            raise InputError(f"{path}: header column {k + 1} is {got!r}, but the "
+                             f"sidecar window [{n_min}, {n_max}] names {want!r}")
+    if raw.shape[1] != len(header):
         raise InputError(f"{path}: column count does not match the sidecar window")
     if not np.all(np.isfinite(raw)):
         raise InputError(f"{path}: every value must be finite")
     times = raw[:, 0]
     if np.any(np.diff(times) <= 0):
         raise InputError(f"{path}: times must be strictly increasing")
-    states = raw[:, 1:].reshape(len(raw), N_SPECIES, n_shells)
+    states = raw[:, 1:].reshape(len(raw), N_SPECIES, n_max - n_min + 1)
     return times, states, sidecar
 
 

@@ -21,8 +21,9 @@ from .grid import map_snapshots
 
 #: each stage's layer entry points, resolved through the package on first
 #: use so that a stage loads only its own layers; a replacement set here is
-#: kept.  ``synthesize_checked`` is resolved on the calling thread and run on
-#: the snapshot pool (``grid.map_snapshots``), which ``simulate`` never starts.
+#: kept.  ``synthesize_checked`` is resolved on the calling thread and runs
+#: on the snapshot pool (``grid.map_snapshots``), allocating its arrays per
+#: snapshot; ``simulate`` never starts the pool.
 _DEFERRED = ("validate_tensor", "integrate", "build_wavelet_basis",
              "synthesize_checked", "RegularityParams", "analyze_snapshots")
 
@@ -160,10 +161,10 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
                 lambda column: np.interp(t, t_samples, column), 0, states)
             yield coeffs, basis, n_min, float(t)
 
-    def checked(*job, work):  # finite amplitudes can still overflow the samples
+    def checked(*job):  # finite amplitudes can still overflow the samples
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                return synthesize(*job, work=work)
+                return synthesize(*job)
         except ValueError as exc:
             raise iomod.DomainError(
                 f"{trajectory_path} at time {job[-1]}: {exc}") from exc
@@ -228,11 +229,13 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
                 f"has {run!r}; analyze the snapshots of one synthesize run")
     snapshots.sort(key=lambda snap: snap.time_tag)
     for a, b in zip(snapshots, snapshots[1:]):
-        if a.time_tag == b.time_tag or a.n_grid != b.n_grid:
+        grids = [(s.n_grid, s.sidecar["box_size"], s.sidecar["components"])
+                 for s in (a, b)]
+        if a.time_tag == b.time_tag or grids[0] != grids[1]:
             raise iomod.InputError(
-                f"{a.base}.json and {b.base}.json: snapshots need distinct "
-                f"times and one grid, got times {a.time_tag!r} and "
-                f"{b.time_tag!r}, n_grid {a.n_grid} and {b.n_grid}")
+                f"{a.base}.json and {b.base}.json: snapshots need distinct times "
+                f"and one (n_grid, box_size, components), got times {a.time_tag!r} "
+                f"and {b.time_tag!r}, grids {grids[0]} and {grids[1]}")
     for snap in snapshots:  # before any array is sized from a sidecar
         snap.check_raw()
 

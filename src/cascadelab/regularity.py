@@ -26,15 +26,16 @@ enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table row
 the requested levels read is computed in one pass over the snapshots: the
 calling thread reads each snapshot once, and a pool thread
 (:func:`~cascadelab.grid.map_snapshots`) transforms it once, on work
-arrays it keeps for the pass, and contracts each band density into its
-tables.  The family energy is read only inside the terminal window, so
-a band that only family tables need is inverted only at the snapshots
-the window reads.  Rows are gathered in snapshot order, so tables do not
-depend on the pool size.
+arrays it keeps for the pass (:func:`_snapshot_rows`), and contracts each
+band density into its tables.  The family energy is read only inside the
+terminal window, so a band that only family tables need is inverted only
+at the snapshots the window reads.  Rows are gathered in snapshot order,
+so tables do not depend on the pool size.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,8 +43,7 @@ import numpy as np
 from .cubes import (VITALI_DILATION, BumpProfile, CubeId, LevelResolutionError,
                     covering_count, cube_hierarchy, family_matrices,
                     level_geometry, vitali_cover)
-from .grid import (GridField, map_snapshots, real_samples, wave_magnitude,
-                   work_array)
+from .grid import GridField, map_snapshots, real_samples, wave_magnitude
 from .spectral import LPPartition
 
 VERDICT_BAD = "mildly_bad"
@@ -74,8 +74,9 @@ class RegularityParams:
     vitali_pre_dilation: float = 4.0
 
     def __post_init__(self):
-        if min(self.alpha, self.gamma, self.K_threshold) <= 0 or self.epsilon <= 0:
-            raise ValueError("alpha, epsilon, gamma, K_threshold must be positive")
+        for name in ("alpha", "epsilon", "gamma", "K_threshold", "window_base"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.epsilon >= 1:  # every level would snap to the whole box
             raise ValueError(f"epsilon must be below 1, got {self.epsilon}")
         if self.nuclear_depth < 0 or self.window_exponent <= 0:
@@ -181,7 +182,8 @@ class CoefficientCache:
             for plan in plans[lo:hi]:
                 plan.setdefault(band, (*symbols[band], {}))[2][level] = weights
         read = [s for s, plan in enumerate(plans) if plan]  # none: zip starts no pool
-        jobs = _loaded((self.snapshots[s], plans[s]) for s in read)
+        jobs = _loaded(((self.snapshots[s], plans[s]) for s in read),
+                       threading.local())
         for s, found in zip(read, map_snapshots(_snapshot_rows, jobs)):
             for key, row in found.items():
                 self._tables[key][s] = row
@@ -246,12 +248,12 @@ class CoefficientCache:
         return self._family_sq[key][1]
 
 
-def _loaded(jobs):
+def _loaded(jobs, work):
     """``_snapshot_rows`` arguments of each (snapshot, plan), the snapshot
-    read here when it is a file."""
+    read here when it is a file, with the pass's ``work``."""
     for snap, plan in jobs:
         fld = snap if isinstance(snap, GridField) else snap.load()
-        job = [fld.data], fld.cell_volume, plan
+        job = [fld.data], fld.cell_volume, plan, work
         del fld  # the job's list is then the one reference to the samples
         yield job
 
@@ -262,40 +264,41 @@ def _snapshot_rows(box: list, cell_volume: float, plan: dict, work) -> dict:
     ``box`` holds the samples and is emptied, so the field is dropped once
     its real-FFT spectrum exists; ``plan`` maps each band to its half
     symbol, the lines it reaches and the axis weights of its levels
-    (:meth:`CoefficientCache.band_symbol`), and ``work`` holds the pool
-    thread's work arrays.  Runs on a pool thread, so it calls no stage or
-    layer function (a tracer that wraps those keeps one span stack per
-    process); its inverse is ``grid.real_samples``.
+    (:meth:`CoefficientCache.band_symbol`).  ``work``, the pass's
+    ``threading.local``, keeps this pool thread's spectrum, band product
+    and square arrays, made on its first job.
     """
     data = box.pop()
     n = data.shape[-1]
-    spectrum = work_array(work, "spectrum", data.shape[:-1] + (n // 2 + 1,),
-                          complex)
+    if getattr(work, "shape", None) != data.shape:  # this thread's first job
+        work.shape = data.shape
+        work.spectrum = np.empty(data.shape[:-1] + (n // 2 + 1,), complex)
+        work.hat = np.empty(work.spectrum[0].size, complex)
+        work.square = np.empty((n, n, n)) if len(data) > 1 else None
     for c in range(len(data)):
-        np.fft.rfftn(data[c], out=spectrum[c])
+        np.fft.rfftn(data[c], out=work.spectrum[c])
     del data
     rows = {}
     for band, (symbol, lines, weights) in plan.items():
-        density = _band_density(spectrum, symbol, lines, n, work)
+        density = _band_density(work, symbol, lines, n)
         for level, w in weights.items():
             rows[level, band] = np.sqrt(_separable_sum(w, density) * cell_volume)
     return rows
 
 
-def _band_density(spectrum: np.ndarray, symbol: np.ndarray, lines, n: int,
-                  work) -> np.ndarray:
-    """Pointwise ``|P_band u|^2`` from a real-FFT spectrum, one component at
-    a time: inverted on the columns and ``lines`` the band reaches, squared
-    and summed over components in order.  Only the density is allocated;
-    the product and later squares go to the work arrays of ``work``."""
+def _band_density(work, symbol: np.ndarray, lines, n: int) -> np.ndarray:
+    """Pointwise ``|P_band u|^2`` from the real-FFT ``spectrum`` of ``work``,
+    one component at a time: inverted (``grid.real_samples``) on the columns
+    and ``lines`` the band reaches, squared and summed over components in
+    order.  Only the density is allocated; the product and later squares
+    go to the ``hat`` and ``square`` arrays of ``work``."""
     cols = symbol.shape[-1]
-    hat = work_array(work, "hat", (spectrum[0].size,), complex)
-    hat = hat[:n * n * cols].reshape(n, n, cols)
+    hat = work.hat[:n * n * cols].reshape(n, n, cols)
     density = None
-    for comp in spectrum:
+    for comp in work.spectrum:
         square = real_samples(np.multiply(comp[..., :cols], symbol, out=hat), n,
-                              out=None if density is None else work_array(
-                                  work, "square", (n, n, n)), lines=lines)
+                              out=None if density is None else work.square,
+                              lines=lines)
         np.square(square, out=square)
         density = square if density is None else np.add(density, square, out=density)
     return density

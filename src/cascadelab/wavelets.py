@@ -40,8 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (GridField, _is_power_of_two, radial_bump, real_samples,
-                   work_array)
+from .grid import GridField, _is_power_of_two, radial_bump, real_samples
 
 #: shells must stay inside this fraction of the Nyquist frequency
 NYQUIST_MARGIN = 0.98
@@ -262,8 +261,7 @@ def build_wavelet_basis(lam: float, n_grid: int,
                         profile_shell=0 if n_lo <= 0 <= n_hi else n_lo)
 
 
-def project_coefficients(fld: GridField, basis: WaveletBasis,
-                         work=None) -> np.ndarray:
+def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
     Output shape is (4, window length), species-major.  The amplitudes
@@ -271,7 +269,6 @@ def project_coefficients(fld: GridField, basis: WaveletBasis,
     over the basis :attr:`~WaveletBasis.support` at each mode or its mirror;
     this is exact for any real field.  Recovery of a field synthesized from
     the same basis is exact (to roundoff) by disjoint spectral supports.
-    ``work``: see :func:`~cascadelab.grid.work_array`.
     """
     if fld.n_grid != basis.n_grid:
         raise ValueError("field grid does not match the basis grid")
@@ -279,7 +276,7 @@ def project_coefficients(fld: GridField, basis: WaveletBasis,
         raise ValueError("field box size does not match the basis box size")
     n = fld.n_grid
     kc, (ky, kz) = basis.support
-    hat = work_array(work, "half_spectrum", (3, n * n * (n // 2 + 1)), complex)
+    hat = np.empty((3, n * n * (n // 2 + 1)), complex)
     for comp, spectrum in zip(fld.data, hat.reshape(3, n, n, -1)):
         np.fft.rfft(comp, axis=2, out=spectrum)
         part = spectrum[..., :kc]
@@ -294,13 +291,12 @@ def project_coefficients(fld: GridField, basis: WaveletBasis,
 
 
 def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
-                     time_tag: float | None = None, work=None) -> GridField:
+                     time_tag: float | None = None) -> GridField:
     """Velocity field ``u = sum X[i,n] psi_{i,n}`` from shell amplitudes.
 
     ``coeffs`` is a (4, n_shells) array whose shell axis starts at
     ``n_min`` (defaults to the basis window start).  Every populated shell
-    must lie inside the basis window.  ``work``: as in
-    :func:`project_coefficients`.
+    must lie inside the basis window.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[0] != 4:
@@ -311,8 +307,7 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
         raise ValueError(
             f"state window [{lo}, {hi}] outside basis window {basis.n_window}")
     n = basis.n_grid
-    spec = work_array(work, "half_spectrum", (3, n * n * (n // 2 + 1)), complex)
-    spec.fill(0.0)  # the kz >= 0 half
+    spec = np.zeros((3, n * n * (n // 2 + 1)), complex)  # the kz >= 0 half
     for (i, shell_n), sh in basis.shells.items():
         if lo <= shell_n <= hi:
             x = coeffs[i - 1, shell_n - lo]
@@ -322,12 +317,11 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
 
 
 def synthesize_checked(coeffs, basis: WaveletBasis, n_min: int,
-                       time_tag: float | None = None,
-                       work=None) -> tuple[GridField, float]:
+                       time_tag: float | None = None) -> tuple[GridField, float]:
     """One snapshot: :func:`synthesize_field` and the largest coefficient
-    error of projecting the field back onto the basis, both on ``work``."""
-    fld = synthesize_field(coeffs, basis, n_min, time_tag, work)
+    error of projecting the field back onto the basis."""
+    fld = synthesize_field(coeffs, basis, n_min, time_tag)
     coeffs = np.asarray(coeffs, dtype=float)
     start = n_min - basis.n_window[0]
-    recovered = project_coefficients(fld, basis, work)[:, start:start + coeffs.shape[1]]
+    recovered = project_coefficients(fld, basis)[:, start:start + coeffs.shape[1]]
     return fld, float(np.max(np.abs(recovered - coeffs)))

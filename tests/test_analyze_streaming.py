@@ -1,18 +1,23 @@
 """The analyzer's single pass over snapshot files: work counts, memory, and
-equality with the same analysis of fields held in memory."""
+equality with the same analysis of fields held in memory; and the memory
+of the synthesis pass that writes such files."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cascadelab import grid
 from cascadelab import io as iomod
 from cascadelab.cli import main
 from cascadelab.grid import GridField
-from cascadelab.pipeline import load_regularity_params, run_analyze
+from cascadelab.pipeline import (load_regularity_params, run_analyze,
+                                 run_synthesize)
 from cascadelab.regularity import analyze_snapshots
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 N = 32
 N_SNAPSHOTS = 8
 LEVELS = [2, 3]
@@ -82,7 +87,8 @@ def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     With B = 3 N^3 float64 samples of one snapshot, at most three
     snapshots are held: one per worker (``grid.SNAPSHOT_WORKERS`` on two
     cores) and one queued job.  Each worker keeps its work arrays for the
-    pass: the real-FFT spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B),
+    pass, in the ``threading.local`` that ``CoefficientCache.fill`` hands
+    to every job: the real-FFT spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B),
     one component's band product ((1 + 2/N) B / 3) and one square (B / 3).
     Starting a forward transform it also holds the field: about 2.75 B.
     Inverting a band it holds the density (B / 3) and a contraction copy
@@ -104,3 +110,38 @@ def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * snapshot_bytes, peak / snapshot_bytes
+
+
+def test_synthesize_peak_memory_is_the_snapshots_in_flight(tmp_path,
+                                                           monkeypatch):
+    """``run_synthesize``'s traced peak stays within the snapshots in flight.
+
+    With B = 3 N^3 float64 samples of one snapshot and W = 2 pool workers
+    (``grid.SNAPSHOT_WORKERS`` on two cores), at most W + 1 snapshots are
+    in flight: one per worker and one the calling thread writes, while a
+    queued job is only its interpolated coefficients.  Each holds its
+    field (B) and at most two half spectra (3 N^2 (N/2 + 1) complex128,
+    (1 + 2/N) B each): the one it is synthesized from and the one it is
+    projected back from.  The budget is (W + 1)(3 + 4/N) B, 9.375 B at
+    N = 32; the basis and the trajectory are below 0.01 B.  Synthesis
+    allocates its arrays per call, and must not hold more than that.
+    Measured: 6.3 B, and 7.3 B when the run's first imports are traced too.
+    """
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--config",
+                 os.path.join(CONFIG_DIR, "pipeline_demo.json"),
+                 "--t-end", "0.02", "--out", str(traj)]) == 0
+    times = [0.002, 0.004, 0.007, 0.01, 0.013, 0.016, 0.02]
+    workers = 2
+    monkeypatch.setattr(grid, "SNAPSHOT_WORKERS", workers)
+    snapshot_bytes = 3 * N ** 3 * 8
+    tracemalloc.start()
+    try:
+        written = run_synthesize(traj, os.path.join(CONFIG_DIR, "basis_demo.json"),
+                                 times, tmp_path / "snaps")["written"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(written) == len(times)
+    assert peak < (workers + 1) * (3 + 4 / N) * snapshot_bytes, \
+        peak / snapshot_bytes

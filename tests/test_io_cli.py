@@ -392,10 +392,12 @@ def _simulate_with(integrator, t_end="0.01", kappa=None, config=None):
     return argv
 
 
-def _synthesize_with(drop_sidecar_key=None, edit=None, basis=None):
+def _synthesize_with(drop_sidecar_key=None, edit=None, basis=None,
+                     header=None):
     """Synthesize argv over a simulated trajectory.  ``drop_sidecar_key``
     is deleted from its sidecar; ``edit`` changes its CSV rows (lists of
     fields, header excluded) in place and returns the times to synthesize;
+    ``header`` maps the CSV's header fields to the ones written;
     ``basis`` edits the basis config."""
     def argv(tmp_path):
         config = write_config(tmp_path / "c.json",
@@ -406,11 +408,14 @@ def _synthesize_with(drop_sidecar_key=None, edit=None, basis=None):
         t = "0.01"
         if drop_sidecar_key is not None:
             _edit_json(tmp_path / "traj.csv.json", {drop_sidecar_key: DROP})
-        if edit is not None:
-            header, *lines = traj.read_text().splitlines()
+        if edit is not None or header is not None:
+            first, *lines = traj.read_text().splitlines()
             rows = [line.split(",") for line in lines]
-            t = edit(rows)
-            traj.write_text("\n".join([header] + [",".join(r) for r in rows])
+            if edit is not None:
+                t = edit(rows)
+            if header is not None:
+                first = ",".join(header(first.split(",")))
+            traj.write_text("\n".join([first] + [",".join(r) for r in rows])
                             + "\n")
         path = write_basis_config(tmp_path / "basis.json")
         _edit_json(path, basis or {})
@@ -438,6 +443,10 @@ def _first_three_times(rows):
     return ",".join(row[0] for row in rows[:3])
 
 
+def _reversed_columns(header):
+    return header[:1] + header[:0:-1]
+
+
 def _third_time_overflows(rows):
     """Times t0, t1 and (t1 + t2) / 2, where only the last overflows."""
     rows[2][1] = "1e308"
@@ -453,15 +462,17 @@ def _validate_with(config):
 
 
 def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
-                  grids=(8, 8, 8), sidecar_fields=None):
-    """Analyze argv over zero snapshots; ``sidecar_fields`` override each
-    sidecar but not its ``.raw`` file, and ``drop_sidecar_key`` is deleted
-    from each sidecar."""
+                  grids=(8, 8, 8), sidecar_fields=None,
+                  boxes=(2 * np.pi,) * 3, components=(3, 3, 3)):
+    """Analyze argv over zero snapshots of the given times, grid sides, box
+    sides and component counts; ``sidecar_fields`` override each sidecar
+    but not its ``.raw`` file, and ``drop_sidecar_key`` is deleted from
+    each sidecar."""
     def argv(tmp_path):
         snap_dir = tmp_path / "snaps"
         snap_dir.mkdir()
-        for s, (tag, n) in enumerate(zip(tags, grids)):
-            fld = GridField(np.zeros((3, n, n, n)), 2 * np.pi, time_tag=tag)
+        for s, (tag, n, box, c) in enumerate(zip(tags, grids, boxes, components)):
+            fld = GridField(np.zeros((c, n, n, n)), box, time_tag=tag)
             base = snap_dir / f"snapshot_{s:04d}"
             iomod.save_snapshot(fld, base, extra=sidecar_fields)
             if drop_sidecar_key is not None:
@@ -614,6 +625,12 @@ MALFORMED_INPUT = [
                  id="config-lambda-out-of-range"),
     pytest.param(_analyze_with({"vitali_pre_dilation": 0.5}), 1,
                  id="params-vitali-pre-dilation-below-one"),
+    pytest.param(_analyze_with({"window_base": 0}), 1,
+                 id="params-window-base-zero"),
+    pytest.param(_analyze_with({"window_base": -2.0}), 1,
+                 id="params-window-base-negative"),
+    pytest.param(_synthesize_with(header=_reversed_columns), 2,
+                 id="trajectory-header-reversed"),
     pytest.param(_simulate_with({}, config={"lambda": 10 ** 400}), 1,
                  id="config-lambda-integer-too-large"),
     pytest.param(_simulate_with_row([1, 1, 1, 0, 0, 1, 10 ** 400]), 1,
@@ -689,6 +706,31 @@ def test_negative_base_scale_is_named(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 1
     assert "base_scale must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [0, -2.0])
+def test_nonpositive_window_base_is_named(tmp_path, capsys, base):
+    argv = _analyze_with({"window_base": base})(tmp_path)
+    assert main(argv) == 1
+    assert f"window_base must be positive, got {base}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, column, got, want", [
+    pytest.param(_reversed_columns, 2, "X_4_1", "X_1_0", id="reversed"),
+    pytest.param(lambda h: h[:-1], 9, None, "X_4_1", id="column-missing"),
+    pytest.param(lambda h: ["time"] + h[1:], 1, "time", "t", id="time-renamed"),
+])
+def test_trajectory_header_must_name_the_sidecar_window(
+        tmp_path, capsys, header, column, got, want):
+    """The CSV header is read, not skipped: a reordered, short or renamed
+    header is an input error naming the file and its first wrong column."""
+    argv = _synthesize_with(header=header)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'traj.csv'}: header column {column} is {got!r}, "
+            f"but the sidecar window [0, 1] names {want!r}") in err, err
+    assert not (tmp_path / "snaps").exists()
 
 
 @pytest.mark.parametrize("level", [2000, -2000])
@@ -936,6 +978,10 @@ def test_integer_valued_numbers_keep_their_digests(tmp_path):
                  ("snapshot_0000", "snapshot_0002"), id="times-repeated"),
     pytest.param(_analyze_with(grids=(8, 8, 16)),
                  ("snapshot_0001", "snapshot_0002"), id="grids-differ"),
+    pytest.param(_analyze_with(boxes=(2 * np.pi, 3.0, 2 * np.pi)),
+                 ("snapshot_0000", "snapshot_0001"), id="boxes-differ"),
+    pytest.param(_analyze_with(components=(3, 3, 1)),
+                 ("snapshot_0001", "snapshot_0002"), id="components-differ"),
 ])
 def test_analyze_names_conflicting_sidecars_before_reading_samples(
         tmp_path, capsys, setup, named):

@@ -71,7 +71,8 @@ def test_outputs_do_not_depend_on_pool_size(trajectory, tmp_path, monkeypatch):
 def test_tables_do_not_depend_on_pool_size(workers, monkeypatch):
     """Also with more workers than cores, switching threads every 10 us,
     and with three snapshots per worker of the largest pool, so pool
-    threads run jobs on work arrays an earlier job of theirs has left."""
+    threads run jobs on the work arrays an earlier job of theirs left in
+    the pass's ``threading.local`` (``regularity._snapshot_rows``)."""
     rng = np.random.default_rng(5)
     fields = [grid.GridField(rng.normal(size=(3, 16, 16, 16)), 2 * np.pi,
                              time_tag=float(t)) for t in range(15)]
