@@ -8,6 +8,7 @@ mode vectors k in the usual FFT layout.  Transforms are real-input, on the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -45,6 +46,25 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def check_geometry(n_grid: int, box_size: float, n_components: int) -> None:
+    """ValueError unless ``n_grid`` is a power of two, ``n_components`` is 1
+    or 3 and ``box_size`` is positive; OverflowError unless the cell volume
+    ``(box_size / n_grid)**3`` is a positive float."""
+    if not _is_power_of_two(n_grid):
+        raise ValueError(f"n_grid must be a power of two, got {n_grid}")
+    if n_components not in (1, 3):
+        raise ValueError(f"components must be 1 or 3, got {n_components}")
+    if not box_size > 0:
+        raise ValueError(f"box_size must be positive, got {box_size}")
+    try:
+        volume = (float(box_size) / n_grid) ** 3
+    except OverflowError:
+        volume = math.inf
+    if not 0 < volume < math.inf:
+        raise OverflowError(f"box_size {box_size}: the cell volume (box_size / "
+                            f"n_grid)**3 at n_grid {n_grid} is beyond float range")
+
+
 def radial_bump(r: np.ndarray) -> np.ndarray:
     """Compactly supported mollifier profile exp(-1/(1-r^2)) on |r| < 1."""
     r = np.asarray(r, dtype=float)
@@ -67,15 +87,12 @@ class GridField:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim == 3:
             self.data = self.data[None]
-        if self.data.ndim != 4 or self.data.shape[0] not in (1, 3):
-            raise ValueError(f"expected (c, N, N, N) with c in {{1,3}}, got {self.data.shape}")
-        n = self.data.shape[1]
+        if self.data.ndim != 4:
+            raise ValueError(f"expected (c, N, N, N), got {self.data.shape}")
+        c, n = self.data.shape[:2]
         if self.data.shape[1:] != (n, n, n):
             raise ValueError(f"grid must be cubic, got {self.data.shape}")
-        if not _is_power_of_two(n):
-            raise ValueError(f"grid side must be a power of two, got {n}")
-        if self.box_size <= 0:
-            raise ValueError("box_size must be positive")
+        check_geometry(n, self.box_size, c)
         if not np.all(np.isfinite(self.data)):
             raise ValueError("field samples must be finite")
 

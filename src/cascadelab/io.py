@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import TYPE_CHECKING
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import N_SPECIES, __version__
-from .grid import GridField, _is_power_of_two
+from .grid import GridField, check_geometry
 
 if TYPE_CHECKING:  # the shell-model modules load in the functions that call them
     from .cascade import CascadeConfig, CascadeState, CascadeTrajectory
@@ -276,7 +277,8 @@ def trajectory_columns(n_min: int, n_max: int) -> list[str]:
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Times, stacked states (n_samples, 4, n_shells), and the sidecar,
     whose ``n_min`` must not exceed ``n_max``.  The CSV must have its
-    :func:`trajectory_columns` header, finite values, strictly increasing times."""
+    :func:`trajectory_columns` header, at least one sample row, finite
+    values, strictly increasing times."""
     fields, sidecar = read_document(f"{path}.json", SCHEMA_TRAJECTORY)
     n_min, n_max = fields["n_min"], fields["n_max"]
     if n_min > n_max:
@@ -284,11 +286,15 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty body is named below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"malformed trajectory CSV {path}: {exc}") from exc
+    if raw.size == 0:
+        raise InputError(f"{path}: the file holds no sample rows")
     for k, (got, want) in enumerate(zip_longest(header, trajectory_columns(n_min, n_max))):
         if got != want:
             raise InputError(f"{path}: header column {k + 1} is {got!r}, but the "
@@ -329,10 +335,12 @@ def save_snapshot(fld: GridField, path_base, basis_id: str = "",
 
 @dataclass(frozen=True)
 class SnapshotFile:
-    """A snapshot known from its checked sidecar; ``load`` reads the samples."""
+    """A checked snapshot sidecar, read like a field; ``load`` reads the samples."""
 
     base: str
     n_grid: int
+    box_size: float
+    n_components: int
     time_tag: float | None
     sidecar: dict
 
@@ -345,17 +353,25 @@ class SnapshotFile:
             size = os.path.getsize(self.base + ".raw")
         except OSError as exc:
             raise InputError(f"cannot read {self.base}.raw: {exc}") from exc
-        if size != 8 * self.sidecar["components"] * self.n_grid ** 3:
+        if size != 8 * self.n_components * self.n_grid ** 3:
             raise InputError(f"{self.base}.raw: size does not match the sidecar")
 
 
 def read_snapshot_header(path_base) -> SnapshotFile:
     """Sidecar ``<path_base>.json``; a malformed file, a field missing or of
-    the wrong kind, or an ``n_grid`` no field has is an InputError."""
-    fields, doc = read_document(f"{path_base}.json", SCHEMA_SNAPSHOT)
-    if not _is_power_of_two(fields["n_grid"]):
-        raise InputError(f"{path_base}.json: n_grid must be a power of two")
-    return SnapshotFile(str(path_base), fields["n_grid"], fields["time"], doc)
+    the wrong kind, or a geometry no field has
+    (:func:`~cascadelab.grid.check_geometry`) is an InputError, and a cell
+    volume beyond float range a DomainError."""
+    path = f"{path_base}.json"
+    fields, doc = read_document(path, SCHEMA_SNAPSHOT)
+    try:
+        check_geometry(fields["n_grid"], fields["box_size"], fields["components"])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    return SnapshotFile(str(path_base), fields["n_grid"], fields["box_size"],
+                        fields["components"], fields["time"], doc)
 
 
 def load_snapshot(source) -> GridField:
@@ -366,8 +382,8 @@ def load_snapshot(source) -> GridField:
     snap.check_raw()
     n, data = snap.n_grid, np.fromfile(snap.base + ".raw", dtype="<f8")
     try:
-        fld = GridField(data.reshape(snap.sidecar["components"], n, n, n),
-                        float(snap.sidecar["box_size"]), snap.time_tag)
+        fld = GridField(data.reshape(snap.n_components, n, n, n), snap.box_size,
+                        snap.time_tag)
     except ValueError as exc:
         raise InputError(f"{snap.base}: {exc}") from exc
     fld.meta["basis_id"] = snap.sidecar.get("basis_id", "")

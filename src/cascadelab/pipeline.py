@@ -25,7 +25,8 @@ from .grid import map_snapshots
 #: on the snapshot pool (``grid.map_snapshots``), allocating its arrays per
 #: snapshot; ``simulate`` never starts the pool.
 _DEFERRED = ("validate_tensor", "integrate", "build_wavelet_basis",
-             "synthesize_checked", "RegularityParams", "analyze_snapshots")
+             "synthesize_checked", "RegularityParams", "CoefficientCache",
+             "analyze_snapshots")
 
 
 def _deferred(name: str):
@@ -218,8 +219,6 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
     # sidecars only: each .raw file is read once, inside the analysis pass
     snapshots = [iomod.read_snapshot_header(base) for base in bases]
     for snap in snapshots:
-        if snap.time_tag is None:
-            raise iomod.InputError(f"{snap.base}.json: snapshot has no time tag")
         digest = snap.sidecar.get("manifest_digest")
         if run is None and digest:  # no manifest: the first digest listed
             source, run = f"{snap.base}.json", digest
@@ -227,19 +226,14 @@ def run_analyze(snapshot_dir, params_path, out_path) -> dict:
             raise iomod.InputError(
                 f"{snap.base}.json: manifest digest {digest!r}, but {source} "
                 f"has {run!r}; analyze the snapshots of one synthesize run")
-    snapshots.sort(key=lambda snap: snap.time_tag)
-    for a, b in zip(snapshots, snapshots[1:]):
-        grids = [(s.n_grid, s.sidecar["box_size"], s.sidecar["components"])
-                 for s in (a, b)]
-        if a.time_tag == b.time_tag or grids[0] != grids[1]:
-            raise iomod.InputError(
-                f"{a.base}.json and {b.base}.json: snapshots need distinct times "
-                f"and one (n_grid, box_size, components), got times {a.time_tag!r} "
-                f"and {b.time_tag!r}, grids {grids[0]} and {grids[1]}")
+    try:  # the one judge of a snapshot set; it reads no samples
+        cache = _deferred("CoefficientCache")(snapshots, params.epsilon)
+    except ValueError as exc:
+        raise iomod.InputError(str(exc)) from exc
     for snap in snapshots:  # before any array is sized from a sidecar
         snap.check_raw()
 
-    report = _deferred("analyze_snapshots")(snapshots, params, levels)
+    report = _deferred("analyze_snapshots")(cache.snapshots, params, levels, cache)
 
     manifest = iomod.RunManifest(
         "analyze", iomod.canonical_digest(doc), {"levels": levels},

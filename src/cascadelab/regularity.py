@@ -128,27 +128,34 @@ class CoefficientCache:
     ``|| phi_{Q,level} P_band u(t_s) ||_2`` over all level cubes.  Bands
     beyond the resolvable range give zeros and are recorded in
     ``unresolved_bands``.  Snapshots are fields, or files read only in
-    :meth:`fill` (:class:`~cascadelab.io.SnapshotFile`); ``stats`` counts
-    the reads, FFTs and tables of the fills.
+    :meth:`fill` (:class:`~cascadelab.io.SnapshotFile`), forming one set:
+    each has a time tag, no two share a time, and all share one
+    ``(n_grid, box_size, n_components)``; else a ValueError names two of
+    them, a file as ``<base>.json``, a field by list position.  They are
+    held in time order; ``stats`` counts the reads, FFTs and tables of fills.
     """
 
     def __init__(self, snapshots, epsilon: float):
         if not snapshots:
             raise ValueError("need at least one snapshot")
-        times = [s.time_tag for s in snapshots]
-        if any(t is None for t in times):
-            raise ValueError("snapshots must carry time tags")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
-        self.snapshots = snapshots
+        named = [(f"snapshot {s}" if isinstance(snap, GridField)
+                  else f"{snap.base}.json", snap) for s, snap in enumerate(snapshots)]
+        for name, snap in named:
+            if snap.time_tag is None:
+                raise ValueError(f"{name}: snapshot has no time tag")
+        named.sort(key=lambda pair: pair[1].time_tag)
+        for (name_a, a), (name_b, b) in zip(named, named[1:]):
+            grids = [(s.n_grid, s.box_size, s.n_components) for s in (a, b)]
+            if a.time_tag == b.time_tag or grids[0] != grids[1]:
+                raise ValueError(
+                    f"{name_a} and {name_b}: snapshots need distinct times and one "
+                    f"(n_grid, box_size, components), got times {a.time_tag!r} "
+                    f"and {b.time_tag!r}, grids {grids[0]} and {grids[1]}")
+        self.snapshots = [snap for _, snap in named]
         self.epsilon = epsilon
         self.n_grid = snapshots[0].n_grid
-        if any(s.n_grid != self.n_grid for s in snapshots):
-            raise ValueError("snapshots must share one grid")
-        self.times = np.array(times, dtype=float)
+        self.times = np.array([s.time_tag for s in self.snapshots], dtype=float)
         self.partition = mode_partition(self.n_grid)
-        k2 = np.fft.fftfreq(self.n_grid, 1.0 / self.n_grid).astype(int) ** 2
-        self._half_r2 = k2[:, None, None] + k2[:, None] + k2[:self.n_grid // 2 + 1]
         self.unresolved_bands: set[int] = set()
         self.stats = dict.fromkeys(("snapshots_read", "forward_ffts",
                                     "band_inverses", "tables_filled"), 0)
@@ -156,7 +163,6 @@ class CoefficientCache:
         self._first: dict[tuple[int, int], int] = {}  # first filled row
         self._weights: dict[int, np.ndarray] = {}
         self._members: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        self._family_sq: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
     def fill(self, rows) -> None:
         """Missing rows of the tables of ``rows``, ((level, band), first
@@ -197,7 +203,8 @@ class CoefficientCache:
         column ``3 2**band``, where it ends, a table of its values on the
         integer ``|k|**2``, and the ``(ky, kz)`` lines it reaches (None: all)."""
         cols = min(int(np.ceil(3.0 * 2.0 ** band)), self.n_grid // 2 + 1)
-        r2 = self._half_r2[..., :cols]
+        k2 = np.fft.fftfreq(self.n_grid, 1.0 / self.n_grid).astype(int) ** 2
+        r2 = k2[:, None, None] + k2[:, None] + k2[:cols]
         symbol = self.partition.symbol(band, np.sqrt(np.arange(r2.max() + 1)))[r2]
         nonzero = symbol.any(axis=0)
         return symbol, None if nonzero.all() else np.nonzero(nonzero)
@@ -228,24 +235,19 @@ class CoefficientCache:
     def family_sq(self, level: int, depth: int, first: int = 0) -> np.ndarray:
         """Nuclear-family energy ``sum_{N^depth(Q)} u_{Q'}^2`` of every level cube.
 
-        Shape (snapshots, m, m, m); rows before snapshot ``first`` may be
-        left zero.  Independent of the classification exponents, so one
-        computation serves every parameter set sharing the cube geometry.
+        Shape (snapshots, m, m, m), summed anew from the cached tables on
+        each call; rows before snapshot ``first`` are left zero.
         """
-        key = (level, depth)
-        cached = self._family_sq.get(key)
-        if cached is None or cached[0] > first:
-            members = self.family_members(level, depth)
-            self.fill(((l, l), first) for l in members)
-            m = len(self._axis_weights(level))
-            total = np.zeros((len(self.snapshots), m, m, m))
-            for level_l, member in members.items():
-                member = member.astype(float)
-                total[first:] += np.array([
-                    _separable_sum(member, row)
-                    for row in self._tables[level_l, level_l][first:] ** 2])
-            self._family_sq[key] = first, total
-        return self._family_sq[key][1]
+        members = self.family_members(level, depth)
+        self.fill(((l, l), first) for l in members)
+        m = len(self._axis_weights(level))
+        total = np.zeros((len(self.snapshots), m, m, m))
+        for level_l, member in members.items():
+            member = member.astype(float)
+            total[first:] += np.array([
+                _separable_sum(member, row)
+                for row in self._tables[level_l, level_l][first:] ** 2])
+        return total
 
 
 def _loaded(jobs, work):

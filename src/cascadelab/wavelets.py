@@ -40,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import N_SPECIES
 from .grid import GridField, _is_power_of_two, radial_bump, real_samples
 
 #: shells must stay inside this fraction of the Nyquist frequency
@@ -68,7 +69,7 @@ def _polarization(direction: np.ndarray) -> np.ndarray:
 class BallGeometry:
     """Dimensionless ball layout shared by all shells."""
 
-    directions: np.ndarray      # (4, 3) unit vectors
+    directions: np.ndarray      # (N_SPECIES, 3) unit vectors
     center_radius: float        # distance of ball centers from the origin
     ball_radius: float
 
@@ -163,10 +164,10 @@ class WaveletBasis:
 
     @cached_property
     def psi(self) -> list[GridField]:
-        """The four profile fields on shell ``profile_shell``, built on
-        first read."""
-        return [synthesize_field(np.eye(4)[:, [i]], self, self.profile_shell)
-                for i in range(4)]
+        """The profile fields, one per species, on shell ``profile_shell``,
+        built on first read."""
+        return [synthesize_field(np.eye(N_SPECIES)[:, [i]], self, self.profile_shell)
+                for i in range(N_SPECIES)]
 
 
 def _box_axis(n_grid: int, center: float, radius: float) -> np.ndarray:
@@ -215,7 +216,7 @@ def build_wavelet_basis(lam: float, n_grid: int,
             raise UnresolvedShellError(
                 f"shell {n} reaches |xi|={outer:.3g}, beyond "
                 f"{NYQUIST_MARGIN:.2f} x Nyquist ({nyq:.3g})")
-        for i in range(4):
+        for i in range(N_SPECIES):
             center = geometry.centers()[i] * scale
             radius = geometry.ball_radius * scale
             # the ball and the mode nearest its center lie in this index box;
@@ -264,7 +265,7 @@ def build_wavelet_basis(lam: float, n_grid: int,
 def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
     """Recover shell amplitudes <u, psi_{i,n}> over the basis window.
 
-    Output shape is (4, window length), species-major.  The amplitudes
+    Output shape is (N_SPECIES, window length), species-major.  The amplitudes
     are real, so only ``Re u_hat`` enters, read from ``rfftn``'s passes
     over the basis :attr:`~WaveletBasis.support` at each mode or its mirror;
     this is exact for any real field.  Recovery of a field synthesized from
@@ -284,7 +285,7 @@ def project_coefficients(fld: GridField, basis: WaveletBasis) -> np.ndarray:
         part[:, ky, kz] = np.fft.fft(part[:, ky, kz], axis=0)
     weight = basis.box_size ** 3 / n ** 6
     lo, hi = basis.n_window
-    out = np.zeros((4, hi - lo + 1))
+    out = np.zeros((N_SPECIES, hi - lo + 1))
     for (i, shell_n), sh in basis.shells.items():
         out[i - 1, shell_n - lo] = np.sum(hat[:, sh.half_idx].real * sh.amp) * weight
     return out
@@ -294,13 +295,14 @@ def synthesize_field(coeffs, basis: WaveletBasis, n_min: int | None = None,
                      time_tag: float | None = None) -> GridField:
     """Velocity field ``u = sum X[i,n] psi_{i,n}`` from shell amplitudes.
 
-    ``coeffs`` is a (4, n_shells) array whose shell axis starts at
+    ``coeffs`` is an (N_SPECIES, n_shells) array whose shell axis starts at
     ``n_min`` (defaults to the basis window start).  Every populated shell
     must lie inside the basis window.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] != 4:
-        raise ValueError(f"coeffs must have shape (4, n_shells), got {coeffs.shape}")
+    if coeffs.ndim != 2 or coeffs.shape[0] != N_SPECIES:
+        raise ValueError(f"coeffs must have shape ({N_SPECIES}, n_shells), "
+                         f"got {coeffs.shape}")
     lo = basis.n_window[0] if n_min is None else int(n_min)
     hi = lo + coeffs.shape[1] - 1
     if not basis.covers(lo, hi):

@@ -93,10 +93,10 @@ def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     Starting a forward transform it also holds the field: about 2.75 B.
     Inverting a band it holds the density (B / 3) and a contraction copy
     (B / 3) instead: about 2.4 B.  Two workers and a queued field are at
-    most 6.5 B.  Cached beside them are the half-spectrum radii and the
-    trimmed band symbols (0.75 B at N = 32).  That is about 7.25 B; the
-    bound leaves 0.75 B for tables, weights and temporaries.  Measured:
-    7.5 B with two workers, 4.8 B with one.  Holding every field and every
+    most 6.5 B.  Cached beside them are the trimmed band symbols (0.57 B
+    at N = 32).  That is about 7.1 B; the bound leaves 0.9 B for tables,
+    weights and temporaries.  Measured: 6.7-7.7 B with two workers,
+    4.6-5.0 B with one.  Holding every field and every
     band density instead, as an analyzer that loads all snapshots first
     does, costs 8 B + 40 B/3 before any work: 21 B, and 25 B measured at
     the peak.

@@ -484,6 +484,27 @@ def _analyze_with(params=None, drop_sidecar_key=None, tags=(0.0, 0.5, 1.0),
     return argv
 
 
+def _without_raw(make_argv):
+    """``make_argv`` with every snapshot ``.raw`` file deleted, so that only
+    a sidecar can reveal the fault."""
+    def argv(tmp_path):
+        args = make_argv(tmp_path)
+        for raw in (tmp_path / "snaps").glob("*.raw"):
+            raw.unlink()
+        return args
+    return argv
+
+
+def _trajectory_text(text):
+    """Synthesize argv whose trajectory CSV is ``text(header line)``."""
+    def argv(tmp_path):
+        args = _synthesize_with()(tmp_path)
+        traj = tmp_path / "traj.csv"
+        traj.write_text(text(traj.read_text().splitlines(True)[0]))
+        return args
+    return argv
+
+
 def _at_path(make_argv, flag, target, file=None, directory=None):
     """``make_argv`` with the value of ``flag`` set to ``tmp_path / target``;
     ``file`` and ``directory`` name paths made first under ``tmp_path``."""
@@ -571,6 +592,21 @@ OVERFLOWS = {
     "config-alpha-overflows-dissipation-rate": (
         _simulate_with({}, config={"alpha": 1000, "n_max": 3}), "alpha"),
 }
+
+#: a sidecar geometry no field has, on every sidecar: id -> (fields, exit
+#: code, message after the sidecar's name)
+SIDECAR_GEOMETRY = {
+    "sidecar-components-two": ({"components": 2}, 2,
+                               "components must be 1 or 3, got 2"),
+    "sidecar-box-size-zero": ({"box_size": 0}, 2,
+                              "box_size must be positive, got 0.0"),
+    "sidecar-cell-volume-overflows": ({"box_size": 1e308}, 1,
+                                      "box_size 1e+308: the cell volume"),
+}
+
+#: a trajectory CSV without sample rows: id -> its text from the header line
+NO_SAMPLE_ROWS = {"trajectory-header-only": lambda header: header,
+                  "trajectory-empty": lambda header: ""}
 
 MALFORMED_INPUT = [
     pytest.param(_simulate_with({"bogus": 1.0}), 2, id="integrator-unknown-key"),
@@ -666,6 +702,10 @@ MALFORMED_INPUT = [
                  id="basis-base-scale-negative"),
     *(pytest.param(make_argv, 1, id=name)
       for name, (make_argv, _) in OVERFLOWS.items()),
+    *(pytest.param(_without_raw(_analyze_with(sidecar_fields=fields)), code,
+                   id=name) for name, (fields, code, _) in SIDECAR_GEOMETRY.items()),
+    *(pytest.param(_trajectory_text(text), 2, id=name)
+      for name, text in NO_SAMPLE_ROWS.items()),
 ]
 
 
@@ -699,6 +739,29 @@ def test_overflow_names_its_input(tmp_path, capsys, make_argv, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert field in err and "Numerical result out of range" not in err, err
+
+
+@pytest.mark.parametrize("fields, code, message", [
+    pytest.param(*case, id=name) for name, case in SIDECAR_GEOMETRY.items()])
+def test_sidecar_geometry_is_named_before_samples(tmp_path, capsys, fields,
+                                                  code, message):
+    argv = _without_raw(_analyze_with(sidecar_fields=fields))(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert f"snapshot_0000.json: {message}" in err, err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(text, id=name) for name, text in NO_SAMPLE_ROWS.items()])
+def test_trajectory_without_sample_rows_is_named(tmp_path, capsys, text):
+    """Named as such, with no warning (which the test settings make an error)."""
+    argv = _trajectory_text(text)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'traj.csv'}: the file holds no sample rows" in err, err
+    assert not (tmp_path / "snaps").exists()
 
 
 def test_negative_base_scale_is_named(tmp_path, capsys):

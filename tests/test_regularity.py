@@ -1,5 +1,7 @@
 """Cube coefficients, badness classification, covering, dimension fits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,32 @@ class TestAnalyzeSnapshots:
         snaps = localized_snapshots(np.random.default_rng(8))
         with pytest.raises(ValueError, match="distinct"):
             analyze_snapshots(snaps, make_params(), levels=(2, 2))
+
+    @pytest.mark.parametrize("position, edit, named", [
+        pytest.param(1, lambda f: GridField(f.data[:1], f.box_size, f.time_tag),
+                     "snapshot 2 and snapshot 1", id="components-differ"),
+        pytest.param(0, lambda f: GridField(f.data, 3.0, f.time_tag),
+                     "snapshot 0 and snapshot 2", id="boxes-differ"),
+        pytest.param(1, lambda f: GridField(f.data, f.box_size, 0.0),
+                     "snapshot 0 and snapshot 1", id="times-repeated"),
+    ])
+    def test_one_snapshot_set_names_both_positions(self, position, edit, named):
+        """Fields at times 0, 1 and 1/2, one of them changed: the two that
+        break the set are named by list position, in time order."""
+        snaps = localized_snapshots(np.random.default_rng(8), n_snapshots=3, n=16)
+        snaps = [snaps[0], snaps[2], snaps[1]]
+        snaps[position] = edit(snaps[position])
+        with pytest.raises(ValueError, match=f"^{named}: snapshots need distinct"):
+            analyze_snapshots(snaps, make_params(), levels=(2,))
+
+    def test_reversed_fields_give_the_same_report(self):
+        snaps = localized_snapshots(np.random.default_rng(7), grow=1.3)
+        params = make_params(K_threshold=1e-5)
+        reports = [json.dumps(analyze_snapshots(s, params, levels=(2, 3))
+                              .to_dict(), sort_keys=True)
+                   for s in (snaps, snaps[::-1])]
+        assert reports[0] == reports[1]
+        assert '"bad_count": 0' not in reports[0]
 
 
 class TestModeFrame:
