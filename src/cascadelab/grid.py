@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,26 +21,53 @@ SNAPSHOT_WORKERS = min(2, len(os.sched_getaffinity(0))
 
 
 def map_snapshots(fn, jobs):
-    """Yield ``fn(*job)`` for each job, in order, computed on a pool of
-    ``SNAPSHOT_WORKERS`` threads.
+    """Yield ``fn(*job)`` for each job, in order, computed on
+    ``SNAPSHOT_WORKERS`` daemon threads started for this call.
 
-    ``jobs`` is drawn on the calling thread while at most that many results
-    are pending, so one job waits queued while the calling thread reads or
-    writes a snapshot, and at most ``SNAPSHOT_WORKERS + 1`` are held.
+    ``jobs`` is drawn on the calling thread while at most that many jobs
+    run and one waits queued, so a worker does not wait while the calling
+    thread reads or writes a snapshot, and at most ``SNAPSHOT_WORKERS + 1``
+    are held.  A job's exception is raised here when its result is due.
+    However the caller leaves, the workers are stopped and joined.
     numpy's transforms release the GIL, which is what lets one snapshot's
     work overlap another's.
     """
     from collections import deque
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by simulate
+    from queue import SimpleQueue  # not loaded by simulate
 
-    workers, pending = SNAPSHOT_WORKERS, deque()
-    with ThreadPoolExecutor(workers) as pool:
+    todo, pending = SimpleQueue(), deque()
+
+    def work():
+        for job, slot in iter(todo.get, None):
+            try:
+                slot.put((fn(*job), None))
+            except BaseException as exc:  # raised where the result is due
+                slot.put((None, exc))
+            del job, slot  # hold nothing while waiting for the next job
+
+    def due():
+        result, exc = pending.popleft().get()
+        if exc is not None:
+            raise exc
+        return result
+
+    workers = [threading.Thread(target=work, daemon=True)
+               for _ in range(SNAPSHOT_WORKERS)]
+    for worker in workers:
+        worker.start()
+    try:
         for job in jobs:
-            pending.append(pool.submit(fn, *job))
-            if len(pending) > workers:
-                yield pending.popleft().result()
+            pending.append(SimpleQueue())
+            todo.put((job, pending[-1]))
+            if len(pending) > len(workers):
+                yield due()
         while pending:
-            yield pending.popleft().result()
+            yield due()
+    finally:  # a worker finishes its job at hand, then takes its stop
+        for worker in workers:
+            todo.put(None)
+        for worker in workers:
+            worker.join()
 
 
 def _is_power_of_two(n: int) -> bool:

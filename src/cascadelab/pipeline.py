@@ -149,6 +149,7 @@ def run_synthesize(trajectory_path, basis_config_path, times, out_dir) -> dict:
             raise iomod.DomainError(
                 f"time {t} outside trajectory span "
                 f"[{t_samples[0]}, {t_samples[-1]}]")
+    basis.support  # computed here, so no pool thread writes the cache
 
     manifest = iomod.RunManifest(
         "synthesize", sidecar.get("config_digest", ""),

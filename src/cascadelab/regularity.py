@@ -25,11 +25,12 @@ tables and family energies are per-axis contractions, the latter with
 enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table row
 the requested levels read is computed in one pass over the snapshots: the
 calling thread reads each snapshot once, and a pool thread
-(:func:`~cascadelab.grid.map_snapshots`) transforms it once, on work
-arrays it keeps for the pass (:func:`_snapshot_rows`), and contracts each
-band density into its tables.  The family energy is read only inside the
-terminal window, so a band that only family tables need is inverted only
-at the snapshots the window reads.  Rows are gathered in snapshot order,
+(:func:`~cascadelab.grid.map_snapshots`, whose threads live for one pass)
+transforms it once, on work arrays it keeps for the pass
+(:func:`_snapshot_rows`), and contracts each band density into its
+tables.  The family energy is read only inside the terminal window, so a
+band that only family tables need is inverted only at the snapshots the
+window reads.  Rows are gathered in snapshot order,
 so tables do not depend on the pool size.
 """
 
@@ -188,9 +189,16 @@ class CoefficientCache:
             for plan in plans[lo:hi]:
                 plan.setdefault(band, (*symbols[band], {}))[2][level] = weights
         read = [s for s, plan in enumerate(plans) if plan]  # none: zip starts no pool
-        jobs = _loaded(((self.snapshots[s], plans[s]) for s in read),
-                       threading.local())
-        for s, found in zip(read, map_snapshots(_snapshot_rows, jobs)):
+
+        def jobs():  # read here, so only this thread touches snapshot files
+            for s in read:
+                snap = self.snapshots[s]
+                fld = snap if isinstance(snap, GridField) else snap.load()
+                job = [fld.data], fld.cell_volume, plans[s]
+                del fld  # the job's list is then the one reference to the samples
+                yield job
+
+        for s, found in zip(read, map_snapshots(_snapshot_rows, jobs())):
             for key, row in found.items():
                 self._tables[key][s] = row
         self.stats["snapshots_read"] += len(read)
@@ -250,60 +258,47 @@ class CoefficientCache:
         return total
 
 
-def _loaded(jobs, work):
-    """``_snapshot_rows`` arguments of each (snapshot, plan), the snapshot
-    read here when it is a file, with the pass's ``work``."""
-    for snap, plan in jobs:
-        fld = snap if isinstance(snap, GridField) else snap.load()
-        job = [fld.data], fld.cell_volume, plan, work
-        del fld  # the job's list is then the one reference to the samples
-        yield job
+#: a pool thread's spectrum, band product and square arrays, made on its
+#: first job; a pool's threads live for one pass, so the arrays go with it
+_WORK = threading.local()
 
 
-def _snapshot_rows(box: list, cell_volume: float, plan: dict, work) -> dict:
+def _snapshot_rows(box: list, cell_volume: float, plan: dict) -> dict:
     """Coefficient rows ``{(level, band): table[s]}`` of one snapshot.
 
     ``box`` holds the samples and is emptied, so the field is dropped once
     its real-FFT spectrum exists; ``plan`` maps each band to its half
     symbol, the lines it reaches and the axis weights of its levels
-    (:meth:`CoefficientCache.band_symbol`).  ``work``, the pass's
-    ``threading.local``, keeps this pool thread's spectrum, band product
-    and square arrays, made on its first job.
+    (:meth:`CoefficientCache.band_symbol`).  Each band density ``|P_band
+    u|^2`` is inverted one component at a time (``grid.real_samples``, on
+    the columns and ``lines`` the band reaches), squared and summed over
+    components in order; only the density is allocated.
     """
     data = box.pop()
     n = data.shape[-1]
-    if getattr(work, "shape", None) != data.shape:  # this thread's first job
-        work.shape = data.shape
-        work.spectrum = np.empty(data.shape[:-1] + (n // 2 + 1,), complex)
-        work.hat = np.empty(work.spectrum[0].size, complex)
-        work.square = np.empty((n, n, n)) if len(data) > 1 else None
+    if getattr(_WORK, "shape", None) != data.shape:  # this thread's first job
+        _WORK.shape = data.shape
+        _WORK.spectrum = np.empty(data.shape[:-1] + (n // 2 + 1,), complex)
+        _WORK.hat = np.empty(_WORK.spectrum[0].size, complex)
+        _WORK.square = np.empty((n, n, n)) if len(data) > 1 else None
     for c in range(len(data)):
-        np.fft.rfftn(data[c], out=work.spectrum[c])
+        np.fft.rfftn(data[c], out=_WORK.spectrum[c])
     del data
     rows = {}
     for band, (symbol, lines, weights) in plan.items():
-        density = _band_density(work, symbol, lines, n)
+        cols = symbol.shape[-1]
+        hat = _WORK.hat[:n * n * cols].reshape(n, n, cols)
+        density = None
+        for comp in _WORK.spectrum:
+            square = real_samples(np.multiply(comp[..., :cols], symbol, out=hat), n,
+                                  out=None if density is None else _WORK.square,
+                                  lines=lines)
+            np.square(square, out=square)
+            density = square if density is None else np.add(density, square,
+                                                             out=density)
         for level, w in weights.items():
             rows[level, band] = np.sqrt(_separable_sum(w, density) * cell_volume)
     return rows
-
-
-def _band_density(work, symbol: np.ndarray, lines, n: int) -> np.ndarray:
-    """Pointwise ``|P_band u|^2`` from the real-FFT ``spectrum`` of ``work``,
-    one component at a time: inverted (``grid.real_samples``) on the columns
-    and ``lines`` the band reaches, squared and summed over components in
-    order.  Only the density is allocated; the product and later squares
-    go to the ``hat`` and ``square`` arrays of ``work``."""
-    cols = symbol.shape[-1]
-    hat = work.hat[:n * n * cols].reshape(n, n, cols)
-    density = None
-    for comp in work.spectrum:
-        square = real_samples(np.multiply(comp[..., :cols], symbol, out=hat), n,
-                              out=None if density is None else work.square,
-                              lines=lines)
-        np.square(square, out=square)
-        density = square if density is None else np.add(density, square, out=density)
-    return density
 
 
 def _separable_sum(weights: np.ndarray, arr: np.ndarray) -> np.ndarray:

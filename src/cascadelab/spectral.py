@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, apply_symbol, nyquist, wave_magnitude
+from .grid import GridField, apply_symbol, nyquist, wave_vectors
 
 
 def smoothstep(t):
@@ -100,6 +100,7 @@ def lp_project(fld: GridField, j: int, partition: LPPartition | None = None,
     if partition is None:
         partition = LPPartition.for_grid(fld.n_grid, fld.box_size)
     partition.check(j)
-    radii = wave_magnitude(fld.n_grid, fld.box_size)
+    kx, ky, kz = wave_vectors(fld.n_grid, fld.box_size)  # the half apply_symbol reads
+    radii = np.sqrt(kx ** 2 + ky ** 2 + kz[..., :fld.n_grid // 2 + 1] ** 2)
     sym = partition.wide_symbol(j, radii) if widen else partition.symbol(j, radii)
     return apply_symbol(fld, sym)

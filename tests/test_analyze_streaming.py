@@ -87,16 +87,17 @@ def test_peak_memory_is_a_few_snapshots(snapshot_run, tmp_path):
     With B = 3 N^3 float64 samples of one snapshot, at most three
     snapshots are held: one per worker (``grid.SNAPSHOT_WORKERS`` on two
     cores) and one queued job.  Each worker keeps its work arrays for the
-    pass, in the ``threading.local`` that ``CoefficientCache.fill`` hands
-    to every job: the real-FFT spectrum (3 N^2 (N/2 + 1) complex128, (1 + 2/N) B),
-    one component's band product ((1 + 2/N) B / 3) and one square (B / 3).
+    pass, in ``regularity._WORK``, a ``threading.local`` whose arrays end
+    with the pool's threads: the real-FFT spectrum (3 N^2 (N/2 + 1)
+    complex128, (1 + 2/N) B), one component's band product ((1 + 2/N) B / 3)
+    and one square (B / 3).
     Starting a forward transform it also holds the field: about 2.75 B.
     Inverting a band it holds the density (B / 3) and a contraction copy
     (B / 3) instead: about 2.4 B.  Two workers and a queued field are at
     most 6.5 B.  Cached beside them are the trimmed band symbols (0.57 B
     at N = 32).  That is about 7.1 B; the bound leaves 0.9 B for tables,
-    weights and temporaries.  Measured: 6.7-7.7 B with two workers,
-    4.6-5.0 B with one.  Holding every field and every
+    weights and temporaries.  Measured: 6.9-7.6 B with two workers,
+    4.8 B with one.  Holding every field and every
     band density instead, as an analyzer that loads all snapshots first
     does, costs 8 B + 40 B/3 before any work: 21 B, and 25 B measured at
     the peak.

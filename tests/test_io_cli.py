@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -822,10 +823,45 @@ def test_pyproject_version_is_the_package_version():
     assert iomod.TOOL_VERSION == f"cascadelab {cascadelab.__version__}"
 
 
+def _imported_packages(paths) -> set[str]:
+    """Top-level names of the absolute imports in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """Beside the standard library and itself, the package imports exactly
+    its ``dependencies``; the tests add only their own modules, numpy and
+    the ``test`` extra.  Read by regex, as the version test reads the
+    version, since scipy and others may be installed without being declared."""
+    root = Path(__file__).parents[1]
+    text = (root / "pyproject.toml").read_text()
+
+    def declared(key):
+        entries = re.search(rf"^{key} = \[(.*)\]$", text, re.M)[1]
+        return {re.match(r'\s*"([A-Za-z0-9_.-]+)', entry)[1].lower()
+                for entry in entries.split(",") if entry.strip()}
+
+    own = {"cascadelab"} | set(sys.stdlib_module_names)
+    package = _imported_packages((root / "src" / "cascadelab").glob("*.py"))
+    assert package - own == declared("dependencies")
+    tests = _imported_packages(root.joinpath("tests").glob("*.py"))
+    local = {path.stem for path in root.joinpath("tests").glob("*.py")}
+    assert tests - own - local <= {"numpy"} | declared("test")
+
+
 def test_failed_synthesize_leaves_no_raw_file(tmp_path):
     argv = _synthesize_with(edit=_third_time_overflows)(tmp_path)
+    threads = threading.active_count()
     assert main(argv) == 1
     assert not list((tmp_path / "snaps").glob("*.raw"))
+    assert threading.active_count() == threads  # nor a pool thread
 
 
 @pytest.mark.parametrize("make_argv, blocker", [

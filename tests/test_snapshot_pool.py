@@ -1,6 +1,7 @@
 """The snapshot pool of ``synthesize`` and ``analyze``: outputs do not depend
 on its size, and only the calling thread reads or writes snapshot files."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from cascadelab import grid, pipeline, regularity
+from cascadelab import grid, pipeline, regularity, wavelets
 from cascadelab import io as iomod
 from cascadelab.cli import main
 
@@ -26,14 +27,20 @@ def trajectory(tmp_path_factory):
     return out
 
 
+def chain_argv(trajectory, out_dir):
+    """The synthesize and analyze argv that write into ``out_dir``."""
+    return [["synthesize", "--trajectory", str(trajectory),
+             "--basis-config", os.path.join(CONFIG_DIR, "basis_demo.json"),
+             "--times", TIMES, "--out-dir", str(out_dir / "snaps")],
+            ["analyze", "--snapshots", str(out_dir / "snaps"),
+             "--params", os.path.join(CONFIG_DIR, "params_demo.json"),
+             "--out", str(out_dir / "report" / "report.json")]]
+
+
 def run_chain(trajectory, out_dir):
     """synthesize then analyze through the CLI into ``out_dir``."""
-    assert main(["synthesize", "--trajectory", str(trajectory),
-                 "--basis-config", os.path.join(CONFIG_DIR, "basis_demo.json"),
-                 "--times", TIMES, "--out-dir", str(out_dir / "snaps")]) == 0
-    assert main(["analyze", "--snapshots", str(out_dir / "snaps"),
-                 "--params", os.path.join(CONFIG_DIR, "params_demo.json"),
-                 "--out", str(out_dir / "report" / "report.json")]) == 0
+    for argv in chain_argv(trajectory, out_dir):
+        assert main(argv) == 0
 
 
 def output_bytes(out_dir):
@@ -72,7 +79,7 @@ def test_tables_do_not_depend_on_pool_size(workers, monkeypatch):
     """Also with more workers than cores, switching threads every 10 us,
     and with three snapshots per worker of the largest pool, so pool
     threads run jobs on the work arrays an earlier job of theirs left in
-    the pass's ``threading.local`` (``regularity._snapshot_rows``)."""
+    their ``regularity._WORK`` (``regularity._snapshot_rows``)."""
     rng = np.random.default_rng(5)
     fields = [grid.GridField(rng.normal(size=(3, 16, 16, 16)), 2 * np.pi,
                              time_tag=float(t)) for t in range(15)]
@@ -119,16 +126,70 @@ def test_only_the_calling_thread_touches_snapshot_files(trajectory, tmp_path,
     assert not threads["_snapshot_rows"] & caller
 
 
-def test_simulate_starts_no_pool(tmp_path):
-    """``simulate`` never reaches the snapshot pool, so it does not even
-    import ``concurrent.futures``."""
+def loaded_modules(*argvs):
+    """``sys.modules`` of a fresh process that runs each argv through the CLI."""
     src = os.path.dirname(os.path.dirname(grid.__file__))
-    args = ["simulate", "--config", os.path.join(CONFIG_DIR, "pipeline_demo.json"),
-            "--t-end", "0.02", "--out", str(tmp_path / "traj.csv")]
     code = ("import sys\nfrom cascadelab.cli import main\n"
-            f"assert main({args!r}) == 0\n"
-            "assert 'concurrent.futures' not in sys.modules\n")
+            f"assert all(main(argv) == 0 for argv in {list(argvs)!r})\n"
+            "print(' '.join(sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_simulate_starts_no_pool(tmp_path):
+    """``simulate`` never reaches the snapshot pool, so it does not even
+    import ``concurrent.futures``."""
+    args = ["simulate", "--config", os.path.join(CONFIG_DIR, "pipeline_demo.json"),
+            "--t-end", "0.02", "--out", str(tmp_path / "traj.csv")]
+    assert "concurrent.futures" not in loaded_modules(args)
+
+
+def test_pool_stages_load_no_executor(trajectory, tmp_path):
+    """The pool runs on ``threading`` and a queue, so ``synthesize`` and
+    ``analyze`` load neither ``concurrent.futures`` nor the ``logging`` it
+    imports."""
+    loaded = loaded_modules(*chain_argv(trajectory, tmp_path))
+    assert not loaded & {"concurrent.futures", "logging"}
+
+
+def test_pool_threads_end_with_the_pass(monkeypatch):
+    """Results come in job order; a failed job raises when its result is
+    due, and neither a failed pass nor an abandoned one leaves a thread."""
+    monkeypatch.setattr(grid, "SNAPSHOT_WORKERS", 2)
+    threads = threading.active_count()
+
+    def fn(x):
+        if x == 3:
+            raise ValueError(x)
+        return x * x
+
+    results = grid.map_snapshots(fn, ((x,) for x in range(6)))
+    assert [next(results) for _ in range(3)] == [0, 1, 4]
+    with pytest.raises(ValueError):
+        next(results)
+    assert threading.active_count() == threads
+    results = grid.map_snapshots(fn, ((x,) for x in range(6)))
+    assert next(results) == 0 and threading.active_count() == threads + 2
+    results.close()
+    assert threading.active_count() == threads
+
+
+def test_basis_support_is_computed_on_the_calling_thread(trajectory, tmp_path,
+                                                         monkeypatch):
+    """``synthesize`` reads the basis's cached support before its pool
+    starts, so no pool thread writes the cache."""
+    threads = []
+    compute = wavelets.WaveletBasis.support.func
+
+    def recorded(basis):
+        threads.append(threading.get_ident())
+        return compute(basis)
+
+    support = functools.cached_property(recorded)
+    support.__set_name__(wavelets.WaveletBasis, "support")
+    monkeypatch.setattr(wavelets.WaveletBasis, "support", support)
+    assert main(chain_argv(trajectory, tmp_path)[0]) == 0
+    assert threads == [threading.get_ident()]

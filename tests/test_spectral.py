@@ -97,6 +97,17 @@ class TestLPProject:
                - 3.0 * lp_project(g, 2, partition).data)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("box", [2 * np.pi, 8 * np.pi], ids=["2pi", "8pi"])
+    @pytest.mark.parametrize("widen", [False, True])
+    def test_half_symbol_is_the_full_cube_symbol(self, rng, box, widen):
+        """The half-spectrum symbol ``lp_project`` builds gives the fields
+        of the full-cube symbol, bit for bit."""
+        f = GridField(rng.normal(size=(3, N, N, N)), box)
+        part = LPPartition.for_grid(N, box)
+        symbol = part.wide_symbol if widen else part.symbol
+        full = apply_symbol(f, symbol(2, wave_magnitude(N, box)))
+        assert lp_project(f, 2, part, widen).data.tobytes() == full.data.tobytes()
+
 
 class TestNormInequalities:
     """Single fitted constant per inequality, valid across bands."""
