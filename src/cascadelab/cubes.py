@@ -200,50 +200,22 @@ class BumpProfile:
 # nuclear families
 
 
-def _band_grow(cube: CubeId) -> float:
-    """Per-face growth, in sides, of the enlarged cube (1 + 2**(-eps j)) Q."""
-    return 0.5 * 2.0 ** (-cube.epsilon * cube.j)
-
-
-def _band_cover(cube: CubeId, level: int, n_grid: int) -> list[CubeId]:
-    """Cubes at ``level`` meeting the enlarged cube (1 + 2**(-eps j)) Q."""
-    side, _ = level_geometry(level, cube.epsilon, n_grid)
-    return [CubeId(level, corner, cube.epsilon) for corner in itertools.product(
-        *_cover_axes(cube, _band_grow(cube), side, n_grid))]
-
-
 def nuclear_family(cube: CubeId, depth: int, n_grid: int,
                    clamp: bool = True) -> set[CubeId]:
-    """Recursive multi-level covering family ``N^depth(Q)``.
-
-    ``N^1(Q)`` unites five bands of cubes at levels j-2 .. j+2, each band
-    covering the enlargement of Q; deeper families recurse member-wise.
-    Bands outside the resolvable level range are clamped to the nearest
-    resolvable level when ``clamp`` is set, otherwise a
-    :class:`LevelResolutionError` propagates.  This enumeration is the
-    reference for :func:`family_matrices`, which the analyzer uses.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    current = {cube}
+    """The members of ``N^depth(Q)``: the products of Q's rows of
+    :func:`family_matrices`.  Without ``clamp``, a family whose bands reach
+    past the resolvable levels raises :class:`LevelResolutionError`."""
     if depth == 0:
-        return current
-    lo = COARSEST_LEVEL
-    hi = finest_level(cube.epsilon, n_grid)
-    for _ in range(depth):
-        nxt: set[CubeId] = set()
-        for q in current:
-            for offset in range(-2, 3):
-                level = q.j + offset
-                if clamp:
-                    level = min(max(level, lo), hi)
-                elif not lo <= level <= hi:
-                    raise LevelResolutionError(
-                        f"family band at level {level} is unresolved "
-                        f"(valid range [{lo}, {hi}])")
-                nxt.update(_band_cover(q, level, n_grid))
-        current = nxt
-    return current
+        return {cube}
+    rows = family_matrices(cube.j, depth, cube.epsilon, n_grid)
+    lo, hi = cube.j - 2 * depth, cube.j + 2 * depth
+    finest = finest_level(cube.epsilon, n_grid)
+    if not clamp and not COARSEST_LEVEL <= lo <= hi <= finest:
+        raise LevelResolutionError(f"family bands reach levels {lo}..{hi}, "
+                                   f"outside [{COARSEST_LEVEL}, {finest}]")
+    return {CubeId(level, corner, cube.epsilon) for level, member in rows.items()
+            for corner in itertools.product(  # corners wrap: m_j rows per axis
+                *(np.flatnonzero(member[c % len(member)]) for c in cube.corner))}
 
 
 def family_matrices(j: int, depth: int, epsilon: float,
@@ -252,10 +224,11 @@ def family_matrices(j: int, depth: int, epsilon: float,
 
     Maps each member level l to a boolean (m_j, m_l) matrix, the same on
     all three axes: the level-l members of the family of the cube with
-    corner (a, b, c) are the products of rows a, b and c.  Paths compose
-    the band covers with the clamping of ``nuclear_family``; uniting them
-    axis by axis is exact because a cover only grows as the levels along
-    a path coarsen, so the coarsest path to l contains every other one.
+    corner (a, b, c) are the products of rows a, b and c.  Each step adds,
+    for every level-l member Q', the cubes at levels l-2 .. l+2 (clamped
+    to the resolvable range) that meet ``(1 + 2**(-eps l)) Q'``.  Uniting
+    paths axis by axis is exact because a cover only grows as the levels
+    along a path coarsen, so the coarsest path to l contains every other.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -264,14 +237,14 @@ def family_matrices(j: int, depth: int, epsilon: float,
     for _ in range(depth):
         nxt: dict[int, np.ndarray] = {}
         for level, member in current.items():
+            grow = 0.5 * 2.0 ** (-epsilon * level)
             for target in {min(max(level + offset, COARSEST_LEVEL), hi)
                            for offset in range(-2, 3)}:
                 side, _ = level_geometry(target, epsilon, n_grid)
                 cover = np.zeros((member.shape[1], n_grid // side), dtype=bool)
                 for p in range(member.shape[1]):  # band covers along one axis
                     probe = CubeId(level, (p, 0, 0), epsilon)
-                    cover[p, _cover_axes(probe, _band_grow(probe), side,
-                                         n_grid)[0]] = True
+                    cover[p, _cover_axes(probe, grow, side, n_grid)[0]] = True
                 nxt[target] = nxt.get(target, False) | member @ cover
         if nxt.keys() == current.keys() and all(
                 np.array_equal(nxt[level], current[level]) for level in nxt):

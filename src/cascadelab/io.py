@@ -270,8 +270,14 @@ def save_trajectory_csv(trajectory: CascadeTrajectory, config: CascadeConfig,
 
 def trajectory_columns(n_min: int, n_max: int) -> list[str]:
     """The trajectory CSV header: ``t``, then ``X_<i>_<n>`` species-major."""
-    return ["t"] + [f"X_{i}_{n}" for i in range(1, N_SPECIES + 1)
-                    for n in range(n_min, n_max + 1)]
+    return list(_column_names(n_min, n_max))
+
+
+def _column_names(n_min: int, n_max: int):
+    """:func:`trajectory_columns`, one name at a time."""
+    yield "t"
+    for i in range(1, N_SPECIES + 1):
+        yield from (f"X_{i}_{n}" for n in range(n_min, n_max + 1))
 
 
 def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -295,7 +301,7 @@ def load_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
         raise InputError(f"malformed trajectory CSV {path}: {exc}") from exc
     if raw.size == 0:
         raise InputError(f"{path}: the file holds no sample rows")
-    for k, (got, want) in enumerate(zip_longest(header, trajectory_columns(n_min, n_max))):
+    for k, (got, want) in enumerate(zip_longest(header, _column_names(n_min, n_max))):
         if got != want:
             raise InputError(f"{path}: header column {k + 1} is {got!r}, but the "
                              f"sidecar window [{n_min}, {n_max}] names {want!r}")

@@ -21,17 +21,16 @@ different K needs no recomputation.
 
 Cube sums separate by axis, so a level is classified at once: coefficient
 tables and family energies are per-axis contractions, the latter with
-:func:`~cascadelab.cubes.family_matrices` (checked against the reference
-enumeration :func:`~cascadelab.cubes.nuclear_family`).  Every table row
-the requested levels read is computed in one pass over the snapshots: the
-calling thread reads each snapshot once, and a pool thread
-(:func:`~cascadelab.grid.map_snapshots`, whose threads live for one pass)
-transforms it once, on work arrays it keeps for the pass
-(:func:`_snapshot_rows`), and contracts each band density into its
-tables.  The family energy is read only inside the terminal window, so a
-band that only family tables need is inverted only at the snapshots the
-window reads.  Rows are gathered in snapshot order,
-so tables do not depend on the pool size.
+:func:`~cascadelab.cubes.family_matrices`, the one implementation of the
+nuclear families.  Every table row the requested levels read is computed
+in one pass over the snapshots: the calling thread reads each snapshot
+once, and a pool thread (:func:`~cascadelab.grid.map_snapshots`, whose
+threads live for one pass) transforms it once, on work arrays it keeps
+for the pass (:func:`_snapshot_rows`), and contracts each band density
+into its tables.  The family energy is read only inside the terminal
+window, so a band that only family tables need is inverted only at the
+snapshots the window reads.  Rows are gathered in snapshot order, so
+tables do not depend on the pool size.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ import math
 import numpy as np
 
 from cascadelab.cascade import CascadeState
-from cascadelab.cubes import BumpProfile, CubeId, cube_side_cells, level_geometry
+from cascadelab.cubes import (COARSEST_LEVEL, BumpProfile, CubeId,
+                              LevelResolutionError, cube_side_cells,
+                              finest_level, level_geometry)
 from cascadelab.grid import GridField, apply_symbol, wave_vectors
 from cascadelab.regularity import (VERDICT_BAD, CoefficientCache,
                                    RegularityParams, classify_level_records,
@@ -154,19 +156,56 @@ def vitali_cover_pairwise(cubes, n_grid: int,
     return selected
 
 
+def _lattice_cover(extent, side: int, n_grid: int):
+    """Corners of the side-``side`` lattice cubes meeting a per-axis
+    (start, stop) extent in cells, periodically wrapped."""
+    m = n_grid // side
+    return itertools.product(*(
+        range(m) if stop - start >= n_grid
+        else [p % m for p in range(math.floor(start / side), math.ceil(stop / side))]
+        for start, stop in extent))
+
+
 def covering_count_sets(selected, j: int, n_grid: int, dilation: float) -> int:
     """Set-union reference for ``cubes.covering_count``: the level-j corners
     meeting any dilated selected cube, one tuple per covered cube."""
     covered: set[tuple[int, int, int]] = set()
     for cube in selected:
         side, _ = level_geometry(j, cube.epsilon, n_grid)
-        m = n_grid // side
-        axes = [range(m) if stop - start >= n_grid
-                else [p % m for p in range(math.floor(start / side),
-                                           math.ceil(stop / side))]
-                for start, stop in _dilated_extent(cube, n_grid, dilation)]
-        covered.update(itertools.product(*axes))
+        covered.update(_lattice_cover(_dilated_extent(cube, n_grid, dilation),
+                                      side, n_grid))
     return len(covered)
+
+
+def enumerated_family(cube: CubeId, depth: int, n_grid: int,
+                      clamp: bool = True) -> set[CubeId]:
+    """Cube-by-cube reference for ``cubes.nuclear_family`` and
+    ``cubes.family_matrices``: ``N^1(Q)`` unites the cubes at levels
+    j-2 .. j+2 meeting ``(1 + 2**(-eps j)) Q``, and deeper families repeat
+    that step on every member.  A band level outside the resolvable range
+    is clamped to it, or raises ``LevelResolutionError`` without ``clamp``."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    eps, finest = cube.epsilon, finest_level(cube.epsilon, n_grid)
+    level_geometry(cube.j, eps, n_grid)  # an unresolvable cube raises
+    sides = {level: level_geometry(level, eps, n_grid)[0]
+             for level in range(COARSEST_LEVEL, finest + 1)}
+    current = {(cube.j, cube.corner)}
+    for _ in range(depth):
+        nxt: set[tuple[int, tuple[int, int, int]]] = set()
+        for j, corner in current:
+            side = sides[j]
+            margin = 0.5 * 2.0 ** (-eps * j) * side
+            extent = [(c * side - margin, (c + 1) * side + margin) for c in corner]
+            for level in range(j - 2, j + 3):
+                if not clamp and not COARSEST_LEVEL <= level <= finest:
+                    raise LevelResolutionError(f"family band at level {level} is "
+                                               "unresolved")
+                level = min(max(level, COARSEST_LEVEL), finest)
+                band = _lattice_cover(extent, sides[level], n_grid)
+                nxt.update((level, c) for c in band)
+        current = nxt
+    return {CubeId(j, corner, eps) for j, corner in current}
 
 
 def cube_cells(cube: CubeId, n_grid: int) -> list[set[int]]:

@@ -12,7 +12,7 @@ from cascadelab.cubes import (BumpProfile, CubeId, LevelResolutionError,
                               family_matrices, finest_level, level_geometry,
                               nuclear_family, vitali_cover)
 from oracles import (covering_count_sets, cubes_intersect_cells,
-                     vitali_cover_pairwise)
+                     enumerated_family, vitali_cover_pairwise)
 
 #: the sweep the cube relations are checked on against the references
 GRIDS = (16, 32, 64, 128)
@@ -159,6 +159,12 @@ class TestNuclearFamily:
         q = CubeId(2, (1, 1, 1), 0.25)
         assert nuclear_family(q, 0, 64) == {q}
 
+    def test_negative_depth_raises(self):
+        q = CubeId(2, (1, 1, 1), 0.25)
+        for clamp in (True, False):
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                nuclear_family(q, -1, 64, clamp=clamp)
+
     def test_first_family_bands_and_counts(self):
         q = CubeId(2, (1, 2, 3), 0.25)
         fam = nuclear_family(q, 1, 64)
@@ -208,7 +214,7 @@ class TestNuclearFamily:
             for eps in (1 / 4, 1 / 3, 1 / 2):
                 for j in range(finest_level(eps, n) + 1):
                     tiling = cube_hierarchy(j, eps, n)
-                    for depth in range(3):
+                    for depth in range(4 if n < 64 else 3):
                         rows = family_matrices(j, depth, eps, n)
                         for i in rng.choice(len(tiling), min(2, len(tiling)),
                                             replace=False):
@@ -218,7 +224,35 @@ class TestNuclearFamily:
                                    for corner in itertools.product(
                                        *(np.flatnonzero(member[c])
                                          for c in q.corner))}
-                            assert got == nuclear_family(q, depth, n, clamp=True)
+                            assert got == enumerated_family(q, depth, n, clamp=True)
+
+    def test_unclamped_family_raises_where_the_enumeration_does(self):
+        # without clamping, the family raises exactly when a band of the
+        # enumeration leaves the resolvable levels, else it is that family
+        rng = np.random.default_rng(14)
+        for n in (16, 32, 64):
+            for eps in (1 / 4, 1 / 3, 1 / 2):
+                for j in range(finest_level(eps, n) + 1):
+                    tiling = cube_hierarchy(j, eps, n)
+                    for depth in range(3):
+                        q = tiling[rng.integers(len(tiling))]
+                        try:
+                            expect = enumerated_family(q, depth, n, clamp=False)
+                        except LevelResolutionError:
+                            with pytest.raises(LevelResolutionError):
+                                nuclear_family(q, depth, n, clamp=False)
+                        else:
+                            assert nuclear_family(q, depth, n, clamp=False) == expect
+
+    def test_out_of_lattice_corner_wraps(self):
+        # corners are periodic: a corner past the lattice, or below it,
+        # has the family of the corner it wraps to
+        q = CubeId(3, (0, 4, 2), 0.25)  # 4 cubes per axis on 64 cells
+        for depth in (1, 2):
+            wrapped = nuclear_family(CubeId(3, (0, 0, 2), 0.25), depth, 64)
+            assert nuclear_family(q, depth, 64) == wrapped
+            assert nuclear_family(CubeId(3, (-4, 8, -2), 0.25), depth, 64) == wrapped
+            assert enumerated_family(q, depth, 64) == wrapped
 
     def test_family_matrices_saturate_in_depth(self):
         # families only grow with depth and stop changing within a few

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -795,6 +796,29 @@ def test_trajectory_header_must_name_the_sidecar_window(
     assert (f"{tmp_path / 'traj.csv'}: header column {column} is {got!r}, "
             f"but the sidecar window [0, 1] names {want!r}") in err, err
     assert not (tmp_path / "snaps").exists()
+
+
+def test_huge_sidecar_window_is_named_without_building_its_header(tmp_path):
+    """A sidecar window far wider than the CSV fails at its first wrong
+    column, and the header it names is never built: its 800,005 names would
+    take about 60 MB."""
+    config = write_config(tmp_path / "c.json",
+                          integrator={"initial": {"X_1_0": 1.0}})
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(config), "--t-end", "0.02",
+                 "--out", str(traj)]) == 0
+    _edit_json(tmp_path / "traj.csv.json", {"n_max": 200_000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(iomod.InputError) as err:
+            iomod.load_trajectory_csv(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"{traj}: header column 4 is "
+                              "'X_2_0', but the sidecar window [0, 200000] "
+                              "names 'X_1_2'")
+    assert peak < 2 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("level", [2000, -2000])

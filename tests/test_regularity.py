@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cascadelab.cubes import (CubeId, LevelResolutionError, cube_hierarchy,
-                              nuclear_family)
+from cascadelab.cubes import CubeId, LevelResolutionError, cube_hierarchy
 from cascadelab.grid import GridField, l2_norm
 from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    _level_badness, _terminal_window_mean,
@@ -15,7 +14,7 @@ from cascadelab.regularity import (CoefficientCache, RegularityParams,
                                    classify_level_records, dimension_estimate,
                                    mode_partition, mode_radii)
 from oracles import (badness_functional, band_project, classify_level,
-                     plane_wave, wavelet_coefficient)
+                     enumerated_family, plane_wave, wavelet_coefficient)
 
 N = 32
 EPS = 0.25
@@ -102,7 +101,7 @@ class TestCoefficientCache:
         for level in (2, 3):
             family_sq = cache.family_sq(level, 2)
             for cube in cube_hierarchy(level, EPS, N):
-                family = nuclear_family(cube, 2, N)
+                family = enumerated_family(cube, 2, N)
                 for s, fld in enumerate(snaps):
                     for q in family:
                         if (s, q) not in dense:
