@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class GridField:
     data: np.ndarray
     box_size: float = 2.0 * np.pi
     time_tag: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)

@@ -388,12 +388,10 @@ def load_snapshot(source) -> GridField:
     snap.check_raw()
     n, data = snap.n_grid, np.fromfile(snap.base + ".raw", dtype="<f8")
     try:
-        fld = GridField(data.reshape(snap.n_components, n, n, n), snap.box_size,
-                        snap.time_tag)
+        return GridField(data.reshape(snap.n_components, n, n, n), snap.box_size,
+                         snap.time_tag)
     except ValueError as exc:
         raise InputError(f"{snap.base}: {exc}") from exc
-    fld.meta["basis_id"] = snap.sidecar.get("basis_id", "")
-    return fld
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,7 @@ def apply_cascade_operator(u: GridField, v: GridField,
     xu = project_coefficients(u, basis)
     xv = xu if v is u else project_coefficients(v, basis)
     coeffs = plan.quadratic(xu.ravel(), xv.ravel()).reshape(xu.shape)
-    result = synthesize_field(coeffs, basis, time_tag=u.time_tag)
-    # terms dropped by truncation: each entry loses its top max(mu) base shells
-    result.meta["truncated_groups"] = len(tensor) * xu.shape[1] - plan.n_quadratic
-    return result
+    return synthesize_field(coeffs, basis, time_tag=u.time_tag)
 
 
 def paraproduct_split(u: GridField, tensor: CoefficientTensor,

@@ -69,20 +69,16 @@ def divergence_potential(psi: GridField) -> GridField:
     Returns
     -------
     GridField
-        Three-component potential (Gamma, Gamma, Xi); its ``meta`` carries
-        the achieved divergence residual.
+        Three-component potential (Gamma, Gamma, Xi).
     """
     if psi.n_components != 1:
         raise ValueError("expected a scalar profile")
     data = psi.data[0]
     n = psi.n_grid
     h = psi.box_size / n
-    l2 = float(np.sqrt(np.sum(data ** 2) * h ** 3))
-    if l2 == 0.0:
-        out = GridField(np.zeros((3, n, n, n)), psi.box_size, psi.time_tag)
-        out.meta["div_residual"] = 0.0
-        return out
-
+    peak = float(np.max(np.abs(data)))
+    # relative to the peak, so that its squares neither underflow nor overflow
+    l2 = peak * float(np.sqrt(np.sum((data / (peak or 1.0)) ** 2) * h ** 3))
     momentum = float(np.sum(data) * h ** 3)
     scale = l2 * psi.box_size ** 1.5
     if abs(momentum) > MOMENTUM_TOL * scale:
@@ -90,7 +86,6 @@ def divergence_potential(psi: GridField) -> GridField:
             f"profile integral {momentum:.3e} exceeds {MOMENTUM_TOL:.1e} x "
             f"{scale:.3e}; a nonzero-mass profile is not a divergence")
 
-    peak = float(np.max(np.abs(data)))
     boundary = max(
         float(np.max(np.abs(data[0]))), float(np.max(np.abs(data[-1]))),
         float(np.max(np.abs(data[:, 0]))), float(np.max(np.abs(data[:, -1]))),
@@ -108,7 +103,4 @@ def divergence_potential(psi: GridField) -> GridField:
     dy_gamma = backward_diff(gamma, 1, h)
     xi = cumulative(data - dx_gamma - dy_gamma, 2, h)
 
-    out = GridField(np.stack([gamma, gamma, xi]), psi.box_size, psi.time_tag)
-    residual = backward_divergence(out) - data
-    out.meta["div_residual"] = float(np.sqrt(np.sum(residual ** 2) * h ** 3) / l2)
-    return out
+    return GridField(np.stack([gamma, gamma, xi]), psi.box_size, psi.time_tag)

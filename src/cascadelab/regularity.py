@@ -83,10 +83,13 @@ class RegularityParams:
             raise ValueError("nuclear_depth >= 0 and window_exponent > 0 required")
         if self.vitali_pre_dilation < 1.0:
             raise ValueError("vitali_pre_dilation must be >= 1")
-
-    @property
-    def offset(self) -> float:
-        return self.epsilon if self.exponent_offset is None else self.exponent_offset
+        if self.exponent_offset is None:
+            self.exponent_offset = self.epsilon
+        if not np.isfinite([self.desk_bound, self.reference_bound]).all():
+            raise ValueError(
+                f"alpha {self.alpha}, epsilon {self.epsilon}, gamma {self.gamma} and "
+                f"exponent_offset {self.exponent_offset}: the dimension bound "
+                "is beyond float range")
 
     def threshold(self, j: int) -> float:
         return self.K_threshold * _power(2.0, -self.desk_bound * j, (
@@ -95,15 +98,12 @@ class RegularityParams:
     @property
     def desk_bound(self) -> float:
         """Dimension bound evaluated with the parameters actually used."""
-        return 5.0 - 4.0 * self.alpha + self.offset + self.gamma
+        return 5.0 - 4.0 * self.alpha + self.exponent_offset + self.gamma
 
     @property
     def reference_bound(self) -> float:
         """Dimension bound with the full-strength offset ``100 epsilon``."""
         return 5.0 - 4.0 * self.alpha + 100.0 * self.epsilon + self.gamma
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), exponent_offset=self.offset)
 
 
 @dataclass
@@ -456,7 +456,7 @@ class CoveringReport:
 
     def to_dict(self) -> dict:
         return {
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "per_level": [row.to_dict() for row in self.per_level],
             "d_est": self.d_est,
             "residual": self.residual,

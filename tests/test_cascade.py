@@ -9,7 +9,8 @@ from cascadelab.cascade import (CascadeConfig, CascadeState, CascadeTrajectory,
                                 nonlinear_energy_flux, quadratic_rhs,
                                 rescale_trajectory, state_from_entries,
                                 timescale_ratio, total_energy)
-from cascadelab.tensor import CoefficientTensor, random_valid_tensor
+from cascadelab.tensor import (CoefficientTensor, dyadic_cascade_tensor,
+                               random_valid_tensor)
 
 
 def dyadic_rhs_reference(x, lam, alpha, kappa):
@@ -103,6 +104,17 @@ class TestCascadeRHS:
             assert quad.dtype == float and quad.shape == s.X.shape
             if cfg.kappa == 0.0:
                 assert quad.tobytes() == expected.tobytes()
+
+    def test_truncation_drops_top_base_shells(self):
+        # a term is kept only when all three shells sit in the window, so
+        # each entry loses its top max(mu) base shells
+        def dropped(tensor):
+            cfg = CascadeConfig(lam=2.0, alpha=1.0, n_min=0, n_max=1,
+                                kappa=0.0, tensor=tensor)
+            return len(tensor) * cfg.n_shells - cfg.compiled_rhs.n_quadratic
+        assert dropped(dyadic_cascade_tensor()) == 3
+        tensor = random_valid_tensor(np.random.default_rng(14), n_groups=4)
+        assert dropped(tensor) == sum(max(key[3:]) for key in tensor.entries)
 
     def test_nonzero_shell_window(self):
         # window not starting at zero: base-shell powers follow absolute n

@@ -2,8 +2,9 @@
 directory behind.
 
 Demos 02, 03 (at a 32^3 grid) and 04 take about a second each.  Demo 01
-is left out: it takes about 8 s on a 2-core host, most of it the
-fixed-step RK4 reference of its section 4.
+is left out: it takes about 9 s on a 2-core host, most of it the
+fixed-step RK4 reference of its section 4, and the CI workflow runs it as
+a step of its own under ``-W error``.
 """
 
 import os

@@ -123,7 +123,7 @@ class TestSnapshotFiles:
         back = iomod.load_snapshot(base)
         assert back.data.tobytes() == fld.data.tobytes()
         assert back.time_tag == 0.7
-        assert back.meta["basis_id"] == "abc"
+        assert iomod.read_snapshot_header(base).sidecar["basis_id"] == "abc"
 
     def test_size_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -741,6 +741,22 @@ def test_overflow_names_its_input(tmp_path, capsys, make_argv, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert field in err and "Numerical result out of range" not in err, err
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param({"alpha": 1e308}, id="alpha"),
+    pytest.param({"gamma": 1e308, "exponent_offset": 1e308}, id="gamma-and-offset")])
+def test_dimension_bound_beyond_float_range_writes_no_report(tmp_path, capsys,
+                                                            params):
+    """An infinite bound would flag every cube and reach report.json as a
+    literal that the lab's own documents reject."""
+    argv = _analyze_with(params)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in
+               ("alpha", "epsilon", "gamma", "exponent_offset")), err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("fields, code, message", [

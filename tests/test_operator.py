@@ -64,17 +64,6 @@ class TestApplyCascadeOperator:
         assert np.max(np.abs(grid_coeffs - coeff_route)) < 1e-12 * max(
             1.0, np.max(np.abs(coeff_route)))
 
-    def test_truncation_notice_in_metadata(self, basis):
-        rng = np.random.default_rng(14)
-        u = synthesize_field(rng.normal(size=(4, 2)), basis)
-        out = apply_cascade_operator(u, u, dyadic_cascade_tensor(), basis)
-        # each of the three entries has a shifted slot: its top base shell goes
-        assert out.meta["truncated_groups"] == 3
-        tensor = random_valid_tensor(rng, n_groups=4)
-        out = apply_cascade_operator(u, u, tensor, basis)
-        assert out.meta["truncated_groups"] == sum(
-            max(key[3:]) for key in tensor.entries)
-
     def test_distinct_arguments_match_polarized_coefficient_route(self, basis):
         rng = np.random.default_rng(16)
         tensor = random_valid_tensor(rng, n_groups=4)
